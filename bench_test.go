@@ -299,25 +299,6 @@ func BenchmarkConv2DForward(b *testing.B) {
 	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// BenchmarkConv2DFFT measures the FFT convolution backend on an
-// FFT-favorable geometry: a 5x5 kernel, where the spectral MAC's
-// O(HW log HW) arithmetic amortizes best against im2col's 25x lowering.
-func BenchmarkConv2DFFT(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.New(4, 32, 32, 32)
-	w := tensor.New(32, 32, 5, 5)
-	bias := tensor.New(32)
-	x.RandNormal(rng, 1)
-	w.RandNormal(rng, 0.1)
-	p := tensor.ConvParams{KH: 5, KW: 5, SH: 1, SW: 1, Pad: tensor.Symmetric(2)}
-	flops := 2 * int64(4*32*32*32) * int64(32*25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Conv2DFFT(x, w, bias, p)
-	}
-	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-}
-
 // BenchmarkAutotunedConv dispatches the BenchmarkConv2DForward geometry
 // through the autotuner's measured winner (tuned once, outside the
 // timer) via the real nn.Conv forward path — the tuned-vs-untuned

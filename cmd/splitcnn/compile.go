@@ -63,7 +63,7 @@ func cmdCompile(args []string) error {
 			return err
 		}
 	}
-	// Inference program over the logits, exactly like `serve -compiled`.
+	// Inference program over the logits, exactly like `serve`.
 	m.Graph.SetTraining(false)
 	m.Graph.SetOutput(m.Logits)
 

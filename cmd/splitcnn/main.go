@@ -31,11 +31,12 @@
 //	    lower a model through graph.Compile (inference fusion + static
 //	    memory plan) and dump the plan; verifies plotted peak == slab
 //	splitcnn tune      -arch alexnet -batch 8 [-split] [-tunecache f]
-//	    micro-benchmark every convolution backend (im2col, Winograd,
-//	    direct, FFT) per layer shape, print the algorithm table with
-//	    measured GFLOP/s, and persist the winning plans
-//	splitcnn serve     -addr :8080 -arch vgg19 -snapshot w.snap [-compiled]
-//	    HTTP inference server with dynamic micro-batching
+//	    micro-benchmark both convolution backends (im2col, Winograd)
+//	    per layer shape, print the algorithm table with measured
+//	    GFLOP/s, and persist the winning plans
+//	splitcnn serve     -addr :8080 -arch vgg19 -snapshot w.snap
+//	    HTTP inference server with dynamic micro-batching over the
+//	    compiled static program
 //	splitcnn worker    -addr :9090 -arch vgg19 -snapshot w.snap [-maxpods 4]
 //	    distributed split-inference shard worker (RPC)
 //	splitcnn router    -addr :8080 -workers host:9090,host:9091 [-smoke]
@@ -152,12 +153,12 @@ subcommands:
                     per-node table, -o for the HTML slab timeline);
                     self-verifies plotted peak == mapped slab
   tune              micro-benchmark the convolution backends (im2col,
-                    Winograd, direct, FFT) on every distinct layer shape
-                    and persist the winning per-shape plans
+                    Winograd) on every distinct layer shape and persist
+                    the winning per-shape plans
                     (-tunecache for the cache file, "off" to disable)
   serve             HTTP inference server with dynamic micro-batching
-                    over the arena executor (-smoke for a CI self-test,
-                    -compiled to serve the compiled static program)
+                    over the compiled static program (-smoke for a CI
+                    self-test)
   worker            shard-evaluation worker for distributed
                     split-inference: owns a band of feature-map rows per
                     stage and serves Shard.{Eval,Halo,Health} over RPC
@@ -484,7 +485,6 @@ func cmdTrain(args []string) error {
 	maxGrad := fs.Float64("maxgradnorm", 0, "gradient-explosion threshold on the global grad L2 norm (with -guards; 0 = 1e6)")
 	flight := fs.String("flight", "", "write the flight-recorder dump (recent steps + op spans) here when a guard trips")
 	calibrate := fs.Bool("calibrate", false, "after the run, report measured-vs-predicted per-op drift against the -device cost model")
-	compiledEval := fs.Bool("compiledeval", false, "run per-epoch validation through the compiled static program (bit-identical results)")
 	tune := fs.Bool("tune", false, "autotune the convolution backends on the run's shapes before the first step")
 	tuneCache := fs.String("tunecache", "", `autotune plan cache file (with -tune; "" = ~/.cache/splitcnn/autotune.json, "off" = no persistence)`)
 	dev := deviceFlag(fs)
@@ -522,7 +522,6 @@ func cmdTrain(args []string) error {
 		LRDecayEpochs: []int{*epochs * 2 / 3},
 		Split:         core.Config{Depth: *depth, NH: grid[0], NW: grid[1], Stochastic: *stochastic, Omega: 0.2},
 		EvalUnsplit:   *stochastic,
-		CompiledEval:  *compiledEval,
 		Tune:          *tune,
 		Seed:          *seed,
 		SavePath:      *savePath,

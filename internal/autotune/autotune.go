@@ -1,7 +1,7 @@
 // Package autotune picks a convolution algorithm per call-site shape by
 // measurement instead of heuristics — cuDNN's cudnnFindConvolution*
-// idea, but with the result persisted. Four backends compete: direct,
-// im2col+GEMM, Winograd F(2x2,3x3), and FFT. At model load or warmup
+// idea, but with the result persisted. Two backends compete:
+// im2col+GEMM and Winograd F(2x2,3x3). At model load or warmup
 // (never inline on the serve path) every applicable candidate is
 // micro-benchmarked on the real tensors' shapes; the winner is cached
 // under (ConvParams, input shape, batch, GOMAXPROCS, CPU features) and
@@ -17,9 +17,9 @@
 //     heuristic (Winograd if it applies, else im2col), so untuned
 //     behavior — including bit-identity tests — is unchanged.
 //   - Choose never panics and never allocates: a corrupt or stale plan
-//     (wrong geometry for Winograd, stride for FFT) is sanitized back
-//     to the default. The panic stays in tensor.Conv2DWinogradInto for
-//     direct misuse only.
+//     (wrong geometry for Winograd) is sanitized back to the default.
+//     The panic stays in tensor.Conv2DWinogradInto for direct misuse
+//     only.
 //   - Tuning is explicit (Tune/TuneGraph) and singleflighted, so
 //     concurrent warmups of the same model measure each site once.
 package autotune
@@ -44,12 +44,10 @@ type Algo uint8
 const (
 	Im2col Algo = iota
 	Winograd
-	Direct
-	FFT
 	NumAlgos
 )
 
-var algoNames = [NumAlgos]string{"im2col", "winograd", "direct", "fft"}
+var algoNames = [NumAlgos]string{"im2col", "winograd"}
 
 // String names the algorithm (the identifier used in the cache file).
 func (a Algo) String() string {
@@ -60,7 +58,8 @@ func (a Algo) String() string {
 }
 
 // ParseAlgo inverts String. Unknown names report ok=false — how stale
-// cache entries from a newer/older format are silently dropped.
+// cache entries from a newer/older format (including the retired
+// "direct" and "fft" backends) are silently dropped.
 func ParseAlgo(s string) (Algo, bool) {
 	for i, n := range algoNames {
 		if n == s {
@@ -81,14 +80,13 @@ func KeyOf(p tensor.ConvParams, x tensor.Shape, cout int) Key {
 	return costmodel.SignatureOf(p, x, cout)
 }
 
-// paramsOf and shapeOf invert KeyOf — needed to re-validate reloaded
-// cache entries against Applicable before they may dispatch anything.
+// paramsOf inverts KeyOf's geometry half — needed to re-validate
+// reloaded cache entries against Applicable before they may dispatch
+// anything.
 func paramsOf(k Key) tensor.ConvParams {
 	return tensor.ConvParams{KH: k.KH, KW: k.KW, SH: k.SH, SW: k.SW,
 		Pad: tensor.Pad2D{Top: k.PadT, Bottom: k.PadB, Left: k.PadL, Right: k.PadR}}
 }
-
-func shapeOf(k Key) tensor.Shape { return tensor.Shape{k.N, k.C, k.H, k.W} }
 
 // Decision is a tuned plan: the winning algorithm and every measured
 // candidate's best forward time (seconds), kept so the cost-model
@@ -109,57 +107,33 @@ func DefaultAlgo(p tensor.ConvParams) Algo {
 	return Im2col
 }
 
-// fftWorkspaceCap bounds the FFT backend's scratch footprint, mirroring
-// nn.MaxConvWorkspaceBytes (the cuDNN-style per-algorithm workspace
-// limit): layers whose spectra would exceed it are not FFT candidates.
-const fftWorkspaceCap = 1 << 30
-
 // measureBudgetSeconds caps the timed work spent on any one candidate
 // during tuning (warmups excluded; at least one timed run always
 // happens). Fast kernels use their full trial count, slow ones exit
 // after a single sample.
 const measureBudgetSeconds = 0.25
 
-// directFLOPCap prunes the naive direct loop from the candidate set on
-// large problems: 1x1 convolutions always stay (they run through the
-// blocked GEMM), but benchmarking an unvectorized loop nest against
-// GEMM on a 100+ MFLOP layer only burns the tuning budget.
-const directFLOPCap = 200e6
-
 // Applicable reports whether algo can run the geometry at all. It is
 // the sanitization gate between cached plans and kernel dispatch: a
 // plan that fails it is ignored, never executed.
-func Applicable(a Algo, p tensor.ConvParams, x tensor.Shape, cout int) bool {
+func Applicable(a Algo, p tensor.ConvParams) bool {
 	switch a {
-	case Im2col, Direct:
+	case Im2col:
 		return true
 	case Winograd:
 		return tensor.WinogradApplies(p)
-	case FFT:
-		return tensor.FFTConvApplies(p) && tensor.FFTConvWorkspaceBytes(x, cout, p) <= fftWorkspaceCap
 	}
 	return false
 }
 
-func convFLOPs(p tensor.ConvParams, x tensor.Shape, cout int) float64 {
-	oh, ow := p.OutSize(x.H(), x.W())
-	return 2 * float64(x.N()) * float64(cout) * float64(oh) * float64(ow) *
-		float64(x.C()) * float64(p.KH) * float64(p.KW)
-}
-
 // Candidates returns the algorithms worth measuring for the geometry:
-// every applicable backend, with the naive direct loop pruned on
-// problems large enough that it cannot win.
-func Candidates(p tensor.ConvParams, x tensor.Shape, cout int) []Algo {
+// every applicable backend.
+func Candidates(p tensor.ConvParams) []Algo {
 	out := make([]Algo, 0, NumAlgos)
 	for a := Algo(0); a < NumAlgos; a++ {
-		if !Applicable(a, p, x, cout) {
-			continue
+		if Applicable(a, p) {
+			out = append(out, a)
 		}
-		if a == Direct && !(p.KH == 1 && p.KW == 1) && convFLOPs(p, x, cout) > directFLOPCap {
-			continue
-		}
-		out = append(out, a)
 	}
 	return out
 }
@@ -221,7 +195,7 @@ func (t *Tuner) Plan(p tensor.ConvParams, x tensor.Shape, cout int) (Algo, bool)
 	t.mu.RLock()
 	d, ok := t.plans[k]
 	t.mu.RUnlock()
-	if !ok || !Applicable(d.Algo, p, x, cout) {
+	if !ok || !Applicable(d.Algo, p) {
 		return 0, false
 	}
 	return d.Algo, true
@@ -304,10 +278,10 @@ func (t *Tuner) measure(p tensor.ConvParams, x tensor.Shape, cout int) Decision 
 
 	d := Decision{Algo: DefaultAlgo(p), Seconds: make(map[Algo]float64)}
 	best := -1.0
-	for _, algo := range Candidates(p, x, cout) {
+	for _, algo := range Candidates(p) {
 		run := runner(algo)
 		// Two warmups: the first pays one-time costs (scratch pools,
-		// twiddle plans, page faults), the second settles the caches.
+		// page faults), the second settles the caches.
 		run(a, dst, in, w, bias, p)
 		run(a, dst, in, w, bias, p)
 		// Up to trials timed runs within a fixed per-candidate budget:
@@ -338,14 +312,6 @@ func runner(a Algo) func(ar *tensor.Arena, dst, x, w, bias *tensor.Tensor, p ten
 	case Winograd:
 		return func(_ *tensor.Arena, dst, x, w, bias *tensor.Tensor, p tensor.ConvParams) {
 			tensor.Conv2DWinogradInto(dst, x, w, bias, p)
-		}
-	case Direct:
-		return func(_ *tensor.Arena, dst, x, w, bias *tensor.Tensor, p tensor.ConvParams) {
-			tensor.Conv2DDirectInto(dst, x, w, bias, p)
-		}
-	case FFT:
-		return func(_ *tensor.Arena, dst, x, w, bias *tensor.Tensor, p tensor.ConvParams) {
-			tensor.Conv2DFFTInto(dst, x, w, bias, p)
 		}
 	default:
 		return func(ar *tensor.Arena, dst, x, w, bias *tensor.Tensor, p tensor.ConvParams) {

@@ -35,21 +35,18 @@ func TestChooseDefaultsMatchLegacy(t *testing.T) {
 }
 
 func TestApplicable(t *testing.T) {
-	shape := tensor.Shape{1, 4, 16, 16}
 	strided := tensor.ConvParams{KH: 3, KW: 3, SH: 2, SW: 2, Pad: tensor.Symmetric(1)}
-	if Applicable(Winograd, strided, shape, 4) {
+	if Applicable(Winograd, strided) {
 		t.Fatal("winograd accepted stride 2")
 	}
-	if Applicable(FFT, strided, shape, 4) {
-		t.Fatal("fft accepted stride 2")
+	if !Applicable(Winograd, conv3x3()) {
+		t.Fatal("winograd rejected 3x3 stride 1")
 	}
-	if !Applicable(Im2col, strided, shape, 4) || !Applicable(Direct, strided, shape, 4) {
-		t.Fatal("universal backends rejected a geometry")
+	if !Applicable(Im2col, strided) {
+		t.Fatal("im2col rejected a geometry")
 	}
-	// FFT refused when the spectra would blow the workspace cap.
-	huge := tensor.Shape{8, 512, 256, 256}
-	if Applicable(FFT, conv3x3(), huge, 512) {
-		t.Fatal("fft accepted a shape whose workspace exceeds the cap")
+	if Applicable(NumAlgos, conv3x3()) {
+		t.Fatal("out-of-range algorithm accepted")
 	}
 }
 
@@ -64,10 +61,10 @@ func TestCorruptPlanSanitized(t *testing.T) {
 	if a := tn.Choose(p5, shape, 3); a != Im2col {
 		t.Fatalf("corrupt plan dispatched %v, want im2col fallback", a)
 	}
-	strided := tensor.ConvParams{KH: 3, KW: 3, SH: 2, SW: 2, Pad: tensor.Symmetric(1)}
-	tn.SetPlan(KeyOf(strided, shape, 3), Decision{Algo: FFT})
-	if a := tn.Choose(strided, shape, 3); a != Im2col {
-		t.Fatalf("stride-2 FFT plan dispatched %v, want im2col fallback", a)
+	// An algorithm number outside the enumeration never dispatches.
+	tn.SetPlan(KeyOf(conv3x3(), shape, 3), Decision{Algo: NumAlgos})
+	if a := tn.Choose(conv3x3(), shape, 3); a != Winograd {
+		t.Fatalf("out-of-range plan dispatched %v, want winograd default", a)
 	}
 }
 
@@ -77,7 +74,7 @@ func TestTunePicksMeasuredWinner(t *testing.T) {
 	p := conv3x3()
 	shape := tensor.Shape{1, 4, 12, 12}
 	d := tn.Tune(p, shape, 4)
-	if len(d.Seconds) < 3 { // im2col, winograd, direct, fft all apply here
+	if len(d.Seconds) != 2 { // im2col and winograd both apply here
 		t.Fatalf("only %d candidates measured: %v", len(d.Seconds), d.Seconds)
 	}
 	best := d.Algo
@@ -99,7 +96,7 @@ func TestTunePicksMeasuredWinner(t *testing.T) {
 // stride-1 shape sweep (including asymmetric split-patch-style
 // padding), every algorithm the tuner may install computes the same
 // result as Conv2D — bit-identical for im2col, within fp32 noise for
-// Winograd/direct, within the pinned FFTConvTolerance for FFT.
+// Winograd.
 func TestTunedDispatchEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -120,13 +117,10 @@ func TestTunedDispatchEquivalence(t *testing.T) {
 		bias.RandNormal(rng, 0.1)
 		want := tensor.Conv2D(x, wt, bias, p)
 		oh, ow := p.OutSize(h, w)
-		for _, algo := range Candidates(p, x.Shape(), cout) {
+		for _, algo := range Candidates(p) {
 			dst := tensor.New(n, cout, oh, ow)
 			runner(algo)(tensor.NewArena(), dst, x, wt, bias, p)
-			tol := 1e-5
-			if algo == FFT {
-				tol = tensor.FFTConvTolerance
-			}
+			const tol = 1e-5
 			if e := relErr(dst, want); e > tol {
 				t.Fatalf("seed %d algo %v: error %v > %v (shape %v k%dx%d pad%+v)",
 					seed, algo, e, tol, x.Shape(), kh, kw, p.Pad)
@@ -241,6 +235,46 @@ func TestCacheCorruptFileSilentlyIgnored(t *testing.T) {
 	tn := New()
 	if err := tn.Load(filepath.Join(dir, "missing.json")); err != nil || tn.Len() != 0 {
 		t.Fatalf("missing file: err=%v len=%d", err, tn.Len())
+	}
+}
+
+// TestCacheDropsRetiredBackends: a cache written when the direct and
+// FFT backends still existed loads without error. Their decisions are
+// dropped (those shapes dispatch the default algorithm) and their
+// measured seconds are dropped from surviving decisions.
+func TestCacheDropsRetiredBackends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "autotune.json")
+	content := `{"version": 1, "envs": {"` + Env() + `": [
+		{"key":{"KH":3,"KW":3,"SH":1,"SW":1,"PadT":1,"PadB":1,"PadL":1,"PadR":1,"N":1,"C":4,"H":8,"W":8,"Cout":4},"algo":"fft","seconds":{"fft":1e-4,"winograd":2e-4}},
+		{"key":{"KH":1,"KW":1,"SH":1,"SW":1,"N":1,"C":4,"H":8,"W":8,"Cout":4},"algo":"direct","seconds":{"direct":1e-4}},
+		{"key":{"KH":3,"KW":3,"SH":1,"SW":1,"PadT":1,"PadB":1,"PadL":1,"PadR":1,"N":2,"C":4,"H":8,"W":8,"Cout":4},"algo":"im2col","seconds":{"im2col":1e-4,"fft":5e-5}}]}}`
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tn := New()
+	if err := tn.Load(path); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if tn.Len() != 1 {
+		t.Fatalf("loaded %d plans, want only the im2col one", tn.Len())
+	}
+	shape := tensor.Shape{1, 4, 8, 8}
+	if a := tn.Choose(conv3x3(), shape, 4); a != Winograd {
+		t.Fatalf("fft-tuned shape dispatched %v, want winograd default", a)
+	}
+	p1 := tensor.ConvParams{KH: 1, KW: 1, SH: 1, SW: 1}
+	if a := tn.Choose(p1, shape, 4); a != Im2col {
+		t.Fatalf("direct-tuned shape dispatched %v, want im2col default", a)
+	}
+	kept := tensor.Shape{2, 4, 8, 8}
+	if a, ok := tn.Plan(conv3x3(), kept, 4); !ok || a != Im2col {
+		t.Fatalf("surviving plan = %v/%v, want im2col", a, ok)
+	}
+	tn.mu.RLock()
+	secs := tn.plans[KeyOf(conv3x3(), kept, 4)].Seconds
+	tn.mu.RUnlock()
+	if len(secs) != 1 || secs[Im2col] != 1e-4 {
+		t.Fatalf("surviving decision seconds = %v, want only im2col", secs)
 	}
 }
 

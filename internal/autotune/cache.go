@@ -70,7 +70,7 @@ func (t *Tuner) Load(path string) error {
 	t.mu.Unlock()
 	for _, cp := range f.Envs[env] {
 		algo, ok := ParseAlgo(cp.Algo)
-		if !ok || !Applicable(algo, paramsOf(cp.Key), shapeOf(cp.Key), cp.Key.Cout) {
+		if !ok || !Applicable(algo, paramsOf(cp.Key)) {
 			continue
 		}
 		d := Decision{Algo: algo, Seconds: make(map[Algo]float64, len(cp.Seconds))}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,6 +224,27 @@ func TestRouterCapacity429(t *testing.T) {
 	}
 	if s := <-first; s != http.StatusOK {
 		t.Fatalf("first request: %d, want 200", s)
+	}
+}
+
+// TestRouterPredictBodyLimit: a /v1/predict body past the model-derived
+// limit is refused with 413 and the named error before any shard work.
+func TestRouterPredictBodyLimit(t *testing.T) {
+	spec := testSpec("resnet18")
+	_, _, base := startFleet(t, spec, 1, WorkerConfig{}, RouterOptions{RequestTimeout: 10 * time.Second})
+	limit := serve.PredictBodyLimit(3 * spec.Model.InputH * spec.Model.InputW)
+	body := `{"image":[` + strings.Repeat("0,", int(limit)/2) + `0]}`
+	resp, err := http.Post(base+"/v1/predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&e)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, serve.ErrBodyTooLarge.Error()) {
+		t.Fatalf("oversized body: %d %q, want 413 %q", resp.StatusCode, e.Error, serve.ErrBodyTooLarge)
 	}
 }
 

@@ -170,9 +170,8 @@ func TestHaloGangMatchesUnsplit(t *testing.T) {
 
 // TestHaloGangRandomGeometries stresses the halo math with arbitrary
 // (odd, uneven, empty-band) partitions. Odd cuts misalign the Winograd
-// tile grid, so equality is within the same 1e-4 tolerance the autotune
-// FFT backend is held to — the windows still read real neighbor rows,
-// only summation geometry shifts.
+// tile grid, so equality is within a 1e-4 tolerance — the windows
+// still read real neighbor rows, only summation geometry shifts.
 func TestHaloGangRandomGeometries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	spec := testSpec("vgg16")

@@ -4,7 +4,9 @@
 // multiple worker processes, each owning a contiguous band of output
 // rows per stage and exchanging halo (boundary) rows with the neighbors
 // that own adjacent bands, then gathers the final prefix feature map on
-// a router that finishes the graph tail locally.
+// a router that finishes the graph tail locally. The single-process
+// server it must match bit for bit runs serve.Load's compiled program;
+// the router's tail and the shard stages still run interpreted ops.
 //
 // Unlike the paper's §3.1 transformation (internal/core), which pads
 // each patch with zeros and therefore perturbs boundary values, the
@@ -15,8 +17,8 @@
 // reduction geometry is position-dependent within a plan is Winograd
 // F(2x2,3x3), whose 2x2 output tile grid must stay aligned across
 // shards — hence Partition rounds every interior cut down to an even
-// row. (The FFT backend is not shard-safe at all; workers run untuned,
-// which is the same im2col/Winograd heuristic the default server uses.)
+// row. Workers run untuned, which is the same im2col/Winograd heuristic
+// the default server uses.
 package distserve
 
 import (

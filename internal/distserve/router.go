@@ -767,9 +767,9 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, errorResponse{msg})
 		rt.tracer.Finish(sc)
 	}
-	var req serve.PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad JSON: "+err.Error())
+	req, code, err := serve.DecodePredict(w, r, serve.PredictBodyLimit(bandLen(rt.plan.InC, rt.plan.InH, rt.plan.InW)))
+	if err != nil {
+		fail(code, err.Error())
 		return
 	}
 	timeout := rt.opts.RequestTimeout

@@ -103,10 +103,6 @@ type CompileOptions struct {
 	// step with its own storage. The static memory plan still applies.
 	// Used by tests and as an ablation baseline.
 	NoRewrite bool
-	// Scratch, when non-nil, supplies the arena kernels draw transient
-	// workspace from (im2col buffers, softmax probabilities). Defaults
-	// to a fresh private arena.
-	Scratch *tensor.Arena
 }
 
 // CompileStats summarizes what compilation did to the graph.
@@ -406,12 +402,9 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 	p := &CompiledProgram{
 		g:        g,
 		slab:     make([]float32, slabBytes/4),
-		scratch:  opts.Scratch,
+		scratch:  tensor.NewArena(),
 		outViews: make([]*tensor.Tensor, len(g.Outputs)),
 		outsBuf:  make([]*tensor.Tensor, len(g.Outputs)),
-	}
-	if p.scratch == nil {
-		p.scratch = tensor.NewArena()
 	}
 
 	// Per-node slab views (each member of a storage gets a view with its
@@ -630,12 +623,6 @@ func (p *CompiledProgram) runStep(st *step) {
 	for _, ep := range st.post {
 		ep.op.ForwardInplace(ep.x, ep.in)
 	}
-}
-
-// ExecuteCompiled runs one compiled forward pass — the documented entry
-// point mirroring Executor.Forward.
-func ExecuteCompiled(p *CompiledProgram, feeds Feeds) ([]*tensor.Tensor, error) {
-	return p.Forward(feeds)
 }
 
 // SlabBytes returns the size of the single activation slab the program

@@ -39,10 +39,6 @@ func (c *Conv) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Ten
 	switch c.algo(in[0], in[1]) {
 	case autotune.Winograd:
 		tensor.Conv2DWinogradInto(dst, in[0], in[1], bias, c.Params)
-	case autotune.Direct:
-		tensor.Conv2DDirectInto(dst, in[0], in[1], bias, c.Params)
-	case autotune.FFT:
-		tensor.Conv2DFFTInto(dst, in[0], in[1], bias, c.Params)
 	default:
 		tensor.Conv2DInto(a, dst, in[0], in[1], bias, c.Params)
 	}

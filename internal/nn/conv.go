@@ -95,10 +95,6 @@ func (c *Conv) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
 	switch c.algo(in[0], in[1]) {
 	case autotune.Winograd:
 		return tensor.Conv2DWinograd(in[0], in[1], bias, c.Params), nil
-	case autotune.Direct:
-		return tensor.Conv2DDirect(in[0], in[1], bias, c.Params), nil
-	case autotune.FFT:
-		return tensor.Conv2DFFT(in[0], in[1], bias, c.Params), nil
 	default:
 		return tensor.Conv2D(in[0], in[1], bias, c.Params), nil
 	}
@@ -113,10 +109,6 @@ func (c *Conv) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tenso
 	switch c.algo(in[0], in[1]) {
 	case autotune.Winograd:
 		return tensor.Conv2DWinogradArena(a, in[0], in[1], bias, c.Params), nil
-	case autotune.Direct:
-		return tensor.Conv2DDirectArena(a, in[0], in[1], bias, c.Params), nil
-	case autotune.FFT:
-		return tensor.Conv2DFFTArena(a, in[0], in[1], bias, c.Params), nil
 	default:
 		return tensor.Conv2DArena(a, in[0], in[1], bias, c.Params), nil
 	}
@@ -173,24 +165,16 @@ const MaxConvWorkspaceBytes = 1 << 30
 
 // WorkspaceBytes implements graph.Op: the convolution scratch buffer,
 // this repository's analogue of the cuDNN workspace whose reuse across
-// patches is one of the two memory wins of §6.3. With a tuned plan the
-// declared workspace follows the algorithm that will actually run
-// (Winograd's transformed tiles, the FFT spectra, zero for the direct
-// loop); untuned sites keep the historic estimate — the full im2col
+// patches is one of the two memory wins of §6.3. With a tuned Winograd
+// plan the declared workspace is Winograd's transformed tiles; every
+// other site keeps the historic estimate — the full im2col
 // lowering capped at twice the input+output footprint and at the
 // framework workspace limit — preserving the property that matters to
 // Split-CNN: workspace scales with the layer and shrinks per patch.
 func (c *Conv) WorkspaceBytes(in []tensor.Shape, out tensor.Shape) int64 {
 	x := in[0]
-	if algo, ok := autotune.Default.Plan(c.Params, x, out.C()); ok {
-		switch algo {
-		case autotune.Winograd:
-			return min(tensor.WinogradWorkspaceBytes(x, out.C(), c.Params), MaxConvWorkspaceBytes)
-		case autotune.FFT:
-			return min(tensor.FFTConvWorkspaceBytes(x, out.C(), c.Params), MaxConvWorkspaceBytes)
-		case autotune.Direct:
-			return 0
-		}
+	if algo, ok := autotune.Default.Plan(c.Params, x, out.C()); ok && algo == autotune.Winograd {
+		return min(tensor.WinogradWorkspaceBytes(x, out.C(), c.Params), MaxConvWorkspaceBytes)
 	}
 	oh, ow := out.H(), out.W()
 	im2col := int64(x.C()*c.Params.KH*c.Params.KW) * int64(x.N()*oh*ow) * 4

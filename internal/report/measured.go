@@ -14,13 +14,17 @@ import (
 //
 // The builder is self-verifying in the CompileReport tradition: it
 // refuses to render a timeline that fails Verify (corrupted step
-// indices or a sample above its own recorded high water), and it
+// indices or a sample above its own recorded high water) or
+// CheckAgainstPlan (no plan, or slab use beyond it), and it
 // returns the plotted measured peak so the caller can cross-check it
 // with == against the mem.measured_high_water_bytes gauge before
 // writing anything. A report page that disagrees with the metrics
 // surface is worse than no page.
 func MeasuredMemReport(title string, tl *memobs.MemTimeline) (*Data, int64, error) {
 	if err := tl.Verify(); err != nil {
+		return nil, 0, err
+	}
+	if err := tl.CheckAgainstPlan(); err != nil {
 		return nil, 0, err
 	}
 	if len(tl.Samples) == 0 {
@@ -46,6 +50,9 @@ func MeasuredMemReport(title string, tl *memobs.MemTimeline) (*Data, int64, erro
 		{"measured peak", HumanBytes(float64(peak))},
 		{"scratch high water", HumanBytes(float64(tl.ScratchHighWater))},
 		{"passes", fmt.Sprint(tl.Passes)},
+		{"planned slab", HumanBytes(float64(tl.PlannedSlabBytes))},
+		{"drift max", fmt.Sprintf("%.3f at %s", driftMax, driftAt)},
+		{"drift geomean", fmt.Sprintf("%.3f", tl.DriftGeomean())},
 	}
 	chart := Chart{
 		Title: "measured vs planned activation bytes",
@@ -56,23 +63,11 @@ func MeasuredMemReport(title string, tl *memobs.MemTimeline) (*Data, int64, erro
 			{Name: "planned live", Points: plannedPts},
 			{Name: "scratch", Points: scratchPts},
 		},
+		HighWater:      float64(tl.PlannedSlabBytes),
+		HighWaterLabel: "planned slab size",
 	}
-	subtitle := fmt.Sprintf("%d steps · %d passes · interpreted path (no static plan)",
-		len(tl.Samples), tl.Passes)
-	if tl.PlannedSlabBytes > 0 {
-		if err := tl.CheckAgainstPlan(); err != nil {
-			return nil, 0, err
-		}
-		chart.HighWater = float64(tl.PlannedSlabBytes)
-		chart.HighWaterLabel = "planned slab size"
-		facts = append(facts,
-			KV{"planned slab", HumanBytes(float64(tl.PlannedSlabBytes))},
-			KV{"drift max", fmt.Sprintf("%.3f at %s", driftMax, driftAt)},
-			KV{"drift geomean", fmt.Sprintf("%.3f", tl.DriftGeomean())},
-		)
-		subtitle = fmt.Sprintf("%d steps · %d passes · drift max %.3f at %s",
-			len(tl.Samples), tl.Passes, driftMax, driftAt)
-	}
+	subtitle := fmt.Sprintf("%d steps · %d passes · drift max %.3f at %s",
+		len(tl.Samples), tl.Passes, driftMax, driftAt)
 
 	d := &Data{
 		Title:    title,

@@ -73,6 +73,12 @@ func TestMeasuredMemReportRejectsCorruption(t *testing.T) {
 		t.Fatal("MeasuredMemReport rendered a timeline with broken step order")
 	}
 
+	tl = fixtureTimeline()
+	tl.PlannedSlabBytes = 0
+	if _, _, err := MeasuredMemReport("memtest", tl); err == nil {
+		t.Fatal("MeasuredMemReport rendered a timeline with no plan")
+	}
+
 	empty := &memobs.MemTimeline{Source: "compiled"}
 	if _, _, err := MeasuredMemReport("memtest", empty); err == nil {
 		t.Fatal("MeasuredMemReport rendered an empty timeline")

@@ -41,7 +41,7 @@ type Request struct {
 type Response struct {
 	// Logits is a private copy of the model's output row (nil on error).
 	Logits []float32
-	// BatchSize is how many requests shared the executor pass — the
+	// BatchSize is how many requests shared the forward pass — the
 	// coalescing observability hook the e2e test asserts on.
 	BatchSize int
 	// QueueWait is time spent between Submit and batch formation.
@@ -52,7 +52,7 @@ type Response struct {
 // BatcherOptions tune the dynamic batching scheduler.
 type BatcherOptions struct {
 	// MaxBatch caps a coalesced batch; it must not exceed the
-	// instance's executor batch size. Default: the instance's MaxBatch.
+	// instance's compiled batch size. Default: the instance's MaxBatch.
 	MaxBatch int
 	// MaxDelay bounds how long the first request of a forming batch
 	// waits for company before a partial batch launches (default 2ms).
@@ -72,11 +72,11 @@ type BatcherOptions struct {
 	MemPeak func() int64
 }
 
-// Batcher coalesces concurrent single-image requests into executor
+// Batcher coalesces concurrent single-image requests into forward
 // batches: a batch launches as soon as MaxBatch requests are waiting or
 // MaxDelay after its first request, whichever comes first. A single
-// dispatcher goroutine owns the instance's executor, so the arena and
-// the graph values are never shared across goroutines.
+// dispatcher goroutine owns the instance's compiled program, so its
+// slab and scratch arena are never shared across goroutines.
 type Batcher struct {
 	run  func(imgs [][]float32) ([][]float32, error)
 	opts BatcherOptions
@@ -96,7 +96,7 @@ func NewBatcher(inst *Instance, opts BatcherOptions) *Batcher {
 	if opts.MaxBatch <= 0 || opts.MaxBatch > inst.MaxBatch {
 		opts.MaxBatch = inst.MaxBatch
 	}
-	if opts.MemPeak == nil && inst.Mem != nil {
+	if opts.MemPeak == nil {
 		opts.MemPeak = inst.Mem.LastPassPeak
 	}
 	return newBatcher(inst.Run, opts)

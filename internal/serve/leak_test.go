@@ -11,7 +11,8 @@ import (
 )
 
 // TestArenaLeakCanary is the memory-leak canary: under concurrent load
-// the executor arena vends storage per pass, and after the load stops
+// the compiled program's scratch arena vends kernel workspace per pass
+// (activations live in the static slab), and after the load stops
 // and the server drains gracefully, arena in-use bytes must return to
 // the idle baseline — both on the live instance counters and on the
 // arena.in_use_bytes gauge the runtime sampler publishes. Run with

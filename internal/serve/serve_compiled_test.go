@@ -1,35 +1,55 @@
 package serve_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"sync"
 	"testing"
 	"time"
 
+	"splitcnn/internal/graph"
 	"splitcnn/internal/serve"
+	"splitcnn/internal/tensor"
 	"splitcnn/internal/trace"
 )
 
-// TestServeCompiledEndToEnd serves through the compiled static program
-// (Spec.Compiled) under 64 concurrent clients and checks every response
-// is bit-identical to a single-request forward of the *interpreted*
-// reference instance restored from the same snapshot — the compiled
-// path must be invisible to callers. Runs under -race in `make race`,
-// which also exercises the dispatcher/program handoff.
+// interpretedReference returns the engine-equality oracle for spec: the
+// interpreted graph.Executor in eval mode over serve.Materialize of the
+// same spec at batch 1. It is the training engine, so serving must
+// match it bit for bit.
+func interpretedReference(t *testing.T, spec serve.Spec) func(img []float32) []float32 {
+	t.Helper()
+	spec.MaxBatch = 1
+	m, store, err := serve.Materialize(spec)
+	if err != nil {
+		t.Fatalf("materialize reference: %v", err)
+	}
+	ex, err := graph.NewExecutor(m.Graph, store)
+	if err != nil {
+		t.Fatalf("reference executor: %v", err)
+	}
+	s := m.Input.Shape
+	x := tensor.New(1, s.C(), s.H(), s.W())
+	feeds := graph.Feeds{"image": x, "labels": tensor.New(1)}
+	return func(img []float32) []float32 {
+		copy(x.Data(), img)
+		outs, err := ex.Forward(feeds)
+		if err != nil {
+			t.Fatalf("reference forward: %v", err)
+		}
+		return append([]float32(nil), outs[0].Data()...)
+	}
+}
+
+// TestServeCompiledEndToEnd is the serve end-to-end engine check: 64
+// concurrent clients go through the compiled program behind the HTTP
+// front end, and every answer must be bit-identical to the interpreted
+// executor's forward of that image alone. Runs under -race in
+// `make race`, which also exercises the dispatcher/program handoff.
 func TestServeCompiledEndToEnd(t *testing.T) {
-	snap := writeFixtureSnapshot(t)
-	reg, err := serve.NewRegistry(serve.Spec{
-		Name: "tiny", ModelText: modelText, Snapshot: snap, MaxBatch: 8, Compiled: true,
-	})
+	spec := serve.Spec{Name: "tiny", ModelText: modelText, Snapshot: writeFixtureSnapshot(t), MaxBatch: 8}
+	reg, err := serve.NewRegistry(spec)
 	if err != nil {
 		t.Fatalf("registry: %v", err)
-	}
-	if inst, _ := reg.Lookup("tiny"); !inst.Compiled() {
-		t.Fatal("instance did not take the compiled path")
 	}
 	srv := serve.NewServer(reg, serve.Options{
 		MaxDelay:       20 * time.Millisecond,
@@ -41,64 +61,21 @@ func TestServeCompiledEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("start: %v", err)
 	}
-	base := "http://" + addr.String()
-
-	// The reference deliberately stays on the interpreted executor:
-	// matching it bit for bit is the whole point of the test.
-	ref, err := serve.Load(serve.Spec{
-		Name: "ref", ModelText: modelText, Snapshot: snap, MaxBatch: 1,
-	})
-	if err != nil {
-		t.Fatalf("reference instance: %v", err)
-	}
-	imageLen := ref.ImageLen()
+	inst, _ := reg.Lookup("tiny")
+	ref := interpretedReference(t, spec)
 
 	const n = 64
-	got := make([]serve.PredictResponse, n)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, _ := json.Marshal(serve.PredictRequest{Model: "tiny", Image: testImage(i, imageLen)})
-			<-start
-			resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errs <- fmt.Errorf("request %d: %w", i, err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("request %d: status %d", i, resp.StatusCode)
-				return
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&got[i]); err != nil {
-				errs <- fmt.Errorf("request %d: decode: %w", i, err)
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
+	got := burst(t, "http://"+addr.String(), inst.ImageLen(), n)
 	coalesced := 0
 	for i := 0; i < n; i++ {
-		want, err := ref.Run([][]float32{testImage(i, imageLen)})
-		if err != nil {
-			t.Fatalf("reference forward %d: %v", i, err)
+		want := ref(testImage(i, inst.ImageLen()))
+		if len(got[i].Logits) != len(want) {
+			t.Fatalf("request %d: %d logits, want %d", i, len(got[i].Logits), len(want))
 		}
-		if len(got[i].Logits) != len(want[0]) {
-			t.Fatalf("request %d: %d logits, want %d", i, len(got[i].Logits), len(want[0]))
-		}
-		for j := range want[0] {
-			if got[i].Logits[j] != want[0][j] {
+		for j := range want {
+			if got[i].Logits[j] != want[j] {
 				t.Errorf("request %d logit %d = %v, want interpreted-identical %v (batch size %d)",
-					i, j, got[i].Logits[j], want[0][j], got[i].BatchSize)
+					i, j, got[i].Logits[j], want[j], got[i].BatchSize)
 			}
 		}
 		if got[i].BatchSize > 1 {

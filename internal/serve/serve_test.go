@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +70,67 @@ func testImage(i, n int) []float32 {
 	return img
 }
 
+// burst fires n concurrent /v1/predict requests for model "tiny", image
+// i being testImage(i, imageLen), released together so the batcher can
+// coalesce them, and returns the decoded responses in request order.
+func burst(t *testing.T, base string, imageLen, n int) []serve.PredictResponse {
+	t.Helper()
+	got := make([]serve.PredictResponse, n)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body, _ := json.Marshal(serve.PredictRequest{Model: "tiny", Image: testImage(i, imageLen)})
+			<-start
+			resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs <- fmt.Errorf("request %d: %w", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs <- fmt.Errorf("request %d: status %d", i, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&got[i]); err != nil {
+				errs <- fmt.Errorf("request %d: decode: %w", i, err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestServePredictBodyLimit: a /v1/predict body past the model-derived
+// limit is refused with 413 and the named error, and the server keeps
+// answering normal requests.
+func TestServePredictBodyLimit(t *testing.T) {
+	_, base, imageLen := startObsServer(t, serve.Options{RequestTimeout: 30 * time.Second})
+	limit := serve.PredictBodyLimit(imageLen)
+	body := `{"model":"tiny","image":[` + strings.Repeat("0,", int(limit)/2) + `0]}`
+	resp, err := http.Post(base+"/v1/predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, serve.ErrBodyTooLarge.Error()) {
+		t.Fatalf("oversized body: %d %q, want 413 %q", resp.StatusCode, e.Error, serve.ErrBodyTooLarge)
+	}
+	postPredict(t, base, testImage(0, imageLen))
+}
+
 // TestServeEndToEnd starts the HTTP server, fires 64 concurrent
 // requests, and checks the acceptance criteria: every response is
 // bit-identical to a single-request eval-mode forward of the same
@@ -105,37 +167,7 @@ func TestServeEndToEnd(t *testing.T) {
 	imageLen := ref.ImageLen()
 
 	const n = 64
-	got := make([]serve.PredictResponse, n)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body, _ := json.Marshal(serve.PredictRequest{Model: "tiny", Image: testImage(i, imageLen)})
-			<-start
-			resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
-			if err != nil {
-				errs <- fmt.Errorf("request %d: %w", i, err)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("request %d: status %d", i, resp.StatusCode)
-				return
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&got[i]); err != nil {
-				errs <- fmt.Errorf("request %d: decode: %w", i, err)
-			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+	got := burst(t, base, imageLen, n)
 
 	// Bit-identity: JSON renders float32 with the shortest decimal that
 	// re-parses to the identical bits, so == over the decoded values is

@@ -69,8 +69,11 @@ type Server struct {
 	log      *slog.Logger
 	tracer   *trace.WallTracer
 	batchers map[string]*Batcher
-	reqID    atomic.Uint64
-	started  time.Time
+	// bodyLimit caps a /v1/predict body: PredictBodyLimit of the
+	// registry's largest image.
+	bodyLimit int64
+	reqID     atomic.Uint64
+	started   time.Time
 
 	http     *http.Server
 	listener net.Listener
@@ -105,6 +108,7 @@ func NewServer(reg *Registry, opts Options) *Server {
 	}
 	for _, name := range reg.Names() {
 		inst, _ := reg.Lookup(name)
+		s.bodyLimit = max(s.bodyLimit, PredictBodyLimit(inst.ImageLen()))
 		s.batchers[name] = NewBatcher(inst, BatcherOptions{
 			MaxDelay:   opts.MaxDelay,
 			QueueDepth: opts.QueueDepth,
@@ -130,7 +134,7 @@ func NewServer(reg *Registry, opts Options) *Server {
 	return s
 }
 
-// arenaStats aggregates executor-arena occupancy across the registry's
+// arenaStats aggregates scratch-arena occupancy across the registry's
 // instances — the arena.* gauge source for the runtime sampler.
 func (s *Server) arenaStats() tensor.ArenaStats {
 	var agg tensor.ArenaStats
@@ -155,9 +159,7 @@ func (s *Server) Start(addr string) (net.Addr, error) {
 			s.arenaStats().Record("arena", reg)
 			for _, name := range s.reg.Names() {
 				inst, _ := s.reg.Lookup(name)
-				if inst.Mem != nil {
-					inst.Mem.Timeline().Record(reg)
-				}
+				inst.Mem.Timeline().Record(reg)
 			}
 		})
 	}
@@ -215,10 +217,36 @@ type PredictResponse struct {
 	Model  string    `json:"model"`
 	Argmax int       `json:"argmax"`
 	Logits []float32 `json:"logits"`
-	// BatchSize is how many requests shared this executor pass.
+	// BatchSize is how many requests shared this forward pass.
 	BatchSize int   `json:"batch_size"`
 	QueueUs   int64 `json:"queue_us"`
 	LatencyUs int64 `json:"latency_us"`
+}
+
+// ErrBodyTooLarge reports a /v1/predict body past PredictBodyLimit;
+// both HTTP front ends answer it with 413.
+var ErrBodyTooLarge = errors.New("request body too large")
+
+// PredictBodyLimit is the largest /v1/predict body accepted for images
+// of imageLen values: 4 KiB of envelope plus 32 bytes per value, room
+// for any JSON float32 rendering and its separator.
+func PredictBodyLimit(imageLen int) int64 { return 4<<10 + 32*int64(imageLen) }
+
+// DecodePredict decodes a /v1/predict body, reading at most limit
+// bytes of it, so one request cannot make the process allocate without
+// bound. On failure it also returns the HTTP status to answer: 413 with
+// ErrBodyTooLarge for a longer body, 400 for malformed JSON.
+func DecodePredict(w http.ResponseWriter, r *http.Request, limit int64) (PredictRequest, int, error) {
+	var req PredictRequest
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return req, http.StatusRequestEntityTooLarge, fmt.Errorf("%w: limit %d bytes", ErrBodyTooLarge, limit)
+	case err != nil:
+		return req, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err)
+	}
+	return req, 0, nil
 }
 
 type errorResponse struct {
@@ -254,9 +282,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.tracer.Finish(sc)
 	}
 
-	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		fail(http.StatusBadRequest, "bad JSON: "+err.Error())
+	req, code, err := DecodePredict(w, r, s.bodyLimit)
+	if err != nil {
+		fail(code, err.Error())
 		return
 	}
 	inst, err := s.reg.Lookup(req.Model)
@@ -410,9 +438,7 @@ func (s *Server) handleProfilez(w http.ResponseWriter, r *http.Request) {
 		var out []*memobs.MemTimeline
 		for _, name := range s.reg.Names() {
 			inst, _ := s.reg.Lookup(name)
-			if inst.Mem != nil {
-				out = append(out, inst.Mem.Timeline())
-			}
+			out = append(out, inst.Mem.Timeline())
 		}
 		return out
 	})(w, r)

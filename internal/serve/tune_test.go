@@ -14,7 +14,7 @@ import (
 // tuning: several goroutines load tuned instances of the same model at
 // once — the shape-level singleflight plus the shared cache file must
 // survive `go test -race` with every load producing a working
-// instance and the same logits as an untuned one.
+// instance and the same logits as an untuned one, up to fp32 noise.
 func TestConcurrentTunedLoads(t *testing.T) {
 	defer autotune.Default.Reset()
 	snap := writeFixtureSnapshot(t)
@@ -45,7 +45,6 @@ func TestConcurrentTunedLoads(t *testing.T) {
 			spec := serve.Spec{
 				Name: "tuned", ModelText: modelText, Snapshot: snap,
 				MaxBatch: 2, Tune: true, TuneCache: cache,
-				Compiled: i%2 == 1, // mix compiled and interpreted loads
 			}
 			insts[i], errs[i] = serve.Load(spec)
 		}(i)
@@ -60,9 +59,9 @@ func TestConcurrentTunedLoads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("loader %d run: %v", i, err)
 		}
-		// Whatever backend won, serving output stays within the FFT
-		// backend's pinned tolerance of the untuned reference; with a
-		// GEMM-family winner it is bit-identical.
+		// Whatever backend won, serving output stays within fp32 noise
+		// of the untuned reference (Winograd and im2col round
+		// differently); with the default's winner it is bit-identical.
 		for j := range wantLogits {
 			d := float64(got[0][j] - wantLogits[j])
 			if d < 0 {

@@ -93,7 +93,10 @@ type gemmTileArgs struct {
 // gemmTiles computes the micro-tiles of row panels [lo, hi) of one
 // packed (A block, B panel) pair. Full MRxNR tiles accumulate straight
 // into dst; edge tiles go through a stack scratch tile so the kernel
-// never writes out of bounds.
+// never writes out of bounds. The scratch tile is seeded with dst's
+// current values and copied back, so an edge tile continues the same
+// FMA chain across KC blocks as a full tile: an output's rounding never
+// depends on its position in the matrix.
 func gemmTiles(t gemmTileArgs, lo, hi int) {
 	var tile [gemmMR * gemmNR]float32
 	for pi := lo; pi < hi; pi++ {
@@ -108,13 +111,12 @@ func gemmTiles(t gemmTileArgs, lo, hi int) {
 				gemmKernel(t.kc, ap, bp, c, t.ldc)
 			} else {
 				clear(tile[:])
+				for i := 0; i < rows; i++ {
+					copy(tile[i*gemmNR:i*gemmNR+cols], t.dd[(t.ic+i0+i)*t.ldc+t.jc+j0:])
+				}
 				gemmKernel(t.kc, ap, bp, tile[:], gemmNR)
 				for i := 0; i < rows; i++ {
-					drow := t.dd[(t.ic+i0+i)*t.ldc+t.jc+j0:]
-					trow := tile[i*gemmNR:]
-					for j := 0; j < cols; j++ {
-						drow[j] += trow[j]
-					}
+					copy(t.dd[(t.ic+i0+i)*t.ldc+t.jc+j0:], tile[i*gemmNR:i*gemmNR+cols])
 				}
 			}
 		}

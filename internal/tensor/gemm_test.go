@@ -188,6 +188,34 @@ func TestGemmParallelConsistency(t *testing.T) {
 	}
 }
 
+// TestGemmEdgeTileMatchesFullTile: with k = 300 the product spans two
+// KC blocks, so a tile's accumulation continues across blocks. An edge
+// tile (a partial row panel or column panel) must round exactly like a
+// full tile: a column copied into the edge column panel, and a row
+// copied into the edge row panel, must produce bit-identical outputs.
+func TestGemmEdgeTileMatchesFullTile(t *testing.T) {
+	const m, k, n = 8, 300, 20 // rows 6-7 and columns 16-19 are edge tiles
+	rng := rand.New(rand.NewSource(9))
+	a := randTensor(rng, m, k)
+	b := randTensor(rng, k, n)
+	for p := 0; p < k; p++ {
+		b.data[p*n+17] = b.data[p*n+1] // edge column 17 = full column 1
+	}
+	copy(a.data[7*k:8*k], a.data[1*k:2*k]) // edge row 7 = full row 1
+	dst := New(m, n)
+	MatMul(dst, a, b)
+	for i := 0; i < m; i++ {
+		if full, edge := dst.data[i*n+1], dst.data[i*n+17]; full != edge {
+			t.Fatalf("row %d: full-panel column %v, edge-panel column %v", i, full, edge)
+		}
+	}
+	for j := 0; j < n; j++ {
+		if full, edge := dst.data[1*n+j], dst.data[7*n+j]; full != edge {
+			t.Fatalf("column %d: full-panel row %v, edge-panel row %v", j, full, edge)
+		}
+	}
+}
+
 func BenchmarkGemmSquare(b *testing.B) {
 	for _, n := range []int{64, 256, 512} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

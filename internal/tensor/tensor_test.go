@@ -299,6 +299,33 @@ func TestConv2DMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestConv2DBatchPositionInvariant: an image's im2col conv output must
+// not depend on where it sits in the batch. K = Cin*KH*KW = 288 spans
+// two GEMM KC blocks, and the batch position decides whether the
+// image's output columns land in a full or an edge GEMM tile.
+func TestConv2DBatchPositionInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	p := ConvParams{KH: 3, KW: 3, SH: 2, SW: 2, Pad: Symmetric(1)}
+	x := New(8, 32, 6, 6)
+	w := New(16, 32, 3, 3)
+	x.RandNormal(rng, 1)
+	w.RandNormal(rng, 0.5)
+	img := 32 * 6 * 6
+	moved := x.Clone()
+	copy(moved.data[:img], x.data[7*img:8*img]) // image 7 at position 0
+	got, ref := Conv2D(x, w, nil, p), Conv2D(moved, w, nil, p)
+	out := 16 * 3 * 3
+	diff := 0
+	for i, v := range got.data[7*out : 8*out] {
+		if v != ref.data[i] {
+			diff++
+		}
+	}
+	if diff != 0 {
+		t.Fatalf("image 7 at batch position 7 vs 0: %d of %d outputs differ", diff, out)
+	}
+}
+
 // TestConv2DBackwardNumeric checks analytic conv gradients against
 // central finite differences of a scalar loss sum(conv(x, w)).
 func TestConv2DBackwardNumeric(t *testing.T) {

@@ -1,12 +1,16 @@
 package train_test
 
 import (
+	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"splitcnn/internal/core"
 	"splitcnn/internal/data"
 	"splitcnn/internal/graph"
 	"splitcnn/internal/models"
+	"splitcnn/internal/nn"
+	"splitcnn/internal/snapshot"
 	"splitcnn/internal/tensor"
 	"splitcnn/internal/train"
 )
@@ -179,32 +183,88 @@ func TestTrainDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrainCompiledEvalMatches: since training is deterministic and the
-// compiled program is bit-identical to the interpreted executor, a run
-// whose per-epoch validation goes through Config.CompiledEval must
-// report exactly the same curves — on the plain baseline and through a
-// split evaluation graph (whose patch-extract/concat ops take the
-// compiler's fallback path).
+// TestTrainCompiledEvalMatches pins Evaluate, which runs the compiled
+// program, against the reference engine: the interpreted executor in
+// eval mode over the same evaluation graph and trained weights. The run
+// is split 2x2, so the evaluation graph's patch extract/concat ops take
+// the compiler's fallback path. The executor's test error must equal
+// both the error Run reported and a direct Evaluate call.
 func TestTrainCompiledEvalMatches(t *testing.T) {
 	ds := tinyDataset(t)
-	for _, split := range []bool{false, true} {
-		cfg := baseCfg()
-		cfg.Epochs = 1
-		if split {
-			cfg.Split = core.Config{Depth: 0.5, NH: 2, NW: 2}
+	cfg := baseCfg()
+	cfg.Epochs = 1
+	cfg.Split = core.Config{Depth: 0.5, NH: 2, NW: 2}
+	cfg.SavePath = filepath.Join(t.TempDir(), "trained.snap")
+	res, err := train.Run(cfg, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Rebuild the evaluation graph Run used and restore the weights.
+	mcfg := cfg.Model
+	mcfg.BatchSize = cfg.BatchSize
+	mcfg.Classes = ds.Cfg.Classes
+	mcfg.InputC, mcfg.InputH, mcfg.InputW = ds.Cfg.C, ds.Cfg.H, ds.Cfg.W
+	base, err := models.Build(cfg.Arch, mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecfg := mcfg
+	ecfg.BatchSize = min(cfg.BatchSize, ds.Cfg.TestN)
+	ecfg.Eval = true
+	ecfg.BNStates = base.BNStates
+	evalModel, err := models.Build(cfg.Arch, ecfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := core.Split(evalModel.Graph, cfg.Split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sr.Graph
+	store := graph.NewParamStore()
+	store.InitFromGraph(g, rand.New(rand.NewSource(1)), nn.KaimingInit)
+	if err := snapshot.LoadFile(cfg.SavePath, store, base.BNStates); err != nil {
+		t.Fatal(err)
+	}
+	logits := g.FindNode(evalModel.Logits.Name)
+	if logits == nil {
+		t.Fatalf("evaluation graph has no logits %q", evalModel.Logits.Name)
+	}
+	g.SetOutput(logits)
+
+	ex, err := graph.NewExecutor(g, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := ecfg.BatchSize
+	x := tensor.New(batch, ds.Cfg.C, ds.Cfg.H, ds.Cfg.W)
+	labels := tensor.New(batch)
+	idx := make([]int, batch)
+	wrong, total := 0, 0
+	for off := 0; off+batch <= ds.Cfg.TestN; off += batch {
+		for i := range idx {
+			idx[i] = off + i
 		}
-		ref, err := train.Run(cfg, ds)
+		ds.BatchInto(x, labels, false, idx)
+		outs, err := ex.Forward(graph.Feeds{"image": x, "labels": labels})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.CompiledEval = true
-		got, err := train.Run(cfg, ds)
-		if err != nil {
-			t.Fatal(err)
+		for i, p := range tensor.ArgmaxRow(outs[0]) {
+			if p != int(labels.Data()[i]) {
+				wrong++
+			}
+			total++
 		}
-		if ref.TrainLoss[0] != got.TrainLoss[0] || ref.TestErr[0] != got.TestErr[0] {
-			t.Fatalf("split=%v: compiled eval diverged: %v/%v vs %v/%v",
-				split, got.TrainLoss[0], got.TestErr[0], ref.TrainLoss[0], ref.TestErr[0])
-		}
+	}
+	want := float64(wrong) / float64(total)
+
+	got, err := train.Evaluate(g, evalModel, store, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || res.TestErr[0] != want {
+		t.Fatalf("test error: Evaluate %v, Run %v, interpreted executor %v", got, res.TestErr[0], want)
 	}
 }
