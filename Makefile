@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt ci golden trace report-smoke bench-kernels bench-smoke serve-smoke bench-serve bench-dist train-smoke compile-smoke tune-smoke dist-smoke mem-smoke bench-gate
+.PHONY: build test race vet fmt ci golden trace report-smoke bench-kernels bench-smoke serve-smoke bench-serve bench-dist train-smoke compile-smoke tune-smoke dist-smoke mem-smoke bench-gate fuzz-smoke
 
 # Kernel micro-benchmarks: the CPU execution engine's hot paths
 # (blocked GEMM, im2col, convolution, full arena-backed train step —
@@ -29,7 +29,7 @@ fmt:
 		echo "gofmt needs to be run on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: vet fmt build race bench-smoke serve-smoke compile-smoke report-smoke train-smoke tune-smoke dist-smoke mem-smoke bench-gate
+ci: vet fmt build race bench-smoke serve-smoke compile-smoke report-smoke train-smoke tune-smoke dist-smoke mem-smoke bench-gate fuzz-smoke
 
 # bench-kernels measures the kernel micro-benchmarks and appends the
 # run to BENCH_kernels.json (the committed perf trajectory). Label the
@@ -88,6 +88,15 @@ dist-smoke:
 # rollups, and the measured timeline never exceeds the static plan.
 mem-smoke:
 	$(GO) run -race ./cmd/splitcnn serve -memsmoke
+
+# fuzz-smoke runs each fuzz target for a few seconds past its seed
+# corpus (testdata/fuzz/), one go test call per target because -fuzz
+# accepts only one: the compiled memory plan, the Shard.Halo RPC
+# handler, and serve's /v1/predict body decoder.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledPlan$$' -fuzztime 5s ./internal/graph
+	$(GO) test -run '^$$' -fuzz '^FuzzShardHalo$$' -fuzztime 5s ./internal/distserve
+	$(GO) test -run '^$$' -fuzz '^FuzzServePredict$$' -fuzztime 5s ./internal/serve
 
 # bench-gate compares the latest committed benchmark run against the
 # previous one and fails on any metric that regressed past its

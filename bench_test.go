@@ -319,7 +319,7 @@ func BenchmarkAutotunedConv(b *testing.B) {
 	flops := 2 * int64(8*64*32*32) * int64(64*9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, _ := op.ForwardArena(a, in)
+		out, _ := op.Forward(a, in)
 		a.Put(out)
 	}
 	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")

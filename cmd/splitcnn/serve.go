@@ -317,7 +317,6 @@ func cmdLoadtest(args []string) error {
 		}
 		rt, err := distserve.NewRouter(distserve.RouterOptions{
 			Spec: spec, Workers: addrs,
-			TailExecutors:          *conc,
 			RequestTimeout:         60 * time.Second,
 			RuntimeMetricsInterval: 100 * time.Millisecond,
 		})

@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,6 +119,49 @@ func TestRouterBitIdenticalAllArchitectures(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRouterConcurrentTails sends concurrent requests through a
+// ResNet-18 fleet, so several compiled tails, which share one graph's
+// ops and batch-norm caches, run at once. Every answer must still be
+// bit-identical to single-process serve (run under -race in make ci).
+func TestRouterConcurrentTails(t *testing.T) {
+	spec := testSpec("resnet18")
+	rng := rand.New(rand.NewSource(29))
+	const n = 6
+	imgs := make([][]float32, n)
+	wants := make([][]float32, n)
+	for i := range imgs {
+		imgs[i] = make([]float32, 3*spec.Model.InputH*spec.Model.InputW)
+		for j := range imgs[i] {
+			imgs[i][j] = rng.Float32()
+		}
+		wants[i] = referenceLogits(t, spec, imgs[i])
+	}
+	_, _, base := startFleet(t, spec, 2, WorkerConfig{MaxPods: 2 * n}, RouterOptions{RequestTimeout: 30 * time.Second})
+	var wg sync.WaitGroup
+	for i := range imgs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body, _ := json.Marshal(serve.PredictRequest{Image: imgs[i]})
+			resp, err := http.Post(base+"/v1/predict", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var pr serve.PredictResponse
+			if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d, decode error %v", i, resp.StatusCode, err)
+				return
+			}
+			if !bitIdentical(pr.Logits, wants[i]) {
+				t.Errorf("request %d: logits diverge from single-process serve (max |Δ| %g)", i, maxAbsDiff(pr.Logits, wants[i]))
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 func argmax32(v []float32) int {

@@ -5,8 +5,9 @@
 // rows per stage and exchanging halo (boundary) rows with the neighbors
 // that own adjacent bands, then gathers the final prefix feature map on
 // a router that finishes the graph tail locally. The single-process
-// server it must match bit for bit runs serve.Load's compiled program;
-// the router's tail and the shard stages still run interpreted ops.
+// server it must match bit for bit runs serve.Load's compiled program,
+// and so does the router's tail (graph.Compile over Graph.From at the
+// last shard stage); only the shard stages still run interpreted ops.
 //
 // Unlike the paper's §3.1 transformation (internal/core), which pads
 // each patch with zeros and therefore perturbs boundary values, the
@@ -106,8 +107,9 @@ func (s *Stage) ClipInput(r Range) Range {
 // chain plus the image input description and the classifier width.
 type Plan struct {
 	Stages []*Stage
-	// Tail is the graph node name whose value the router overrides to
-	// resume the non-shardable remainder (== last stage's name).
+	// Tail names the graph node at which the router enters the
+	// non-shardable remainder (Graph.From) with the gathered feature
+	// map (== last stage's name).
 	Tail string
 	// InC/InH/InW is the image geometry; Classes the logits width.
 	InC, InH, InW int
@@ -311,7 +313,7 @@ func (se *ShardEval) EvalStage(i int, x *tensor.Tensor, out Range) (*tensor.Tens
 	in := make([]*tensor.Tensor, 0, 1+len(se.params[i]))
 	in = append(in, x)
 	in = append(in, se.params[i]...)
-	y, _ := op.Forward(in)
+	y, _ := op.Forward(nil, in)
 	if y.Shape().H() != out.Len() {
 		return nil, fmt.Errorf("distserve: stage %s: produced %d rows for %v", st.Name, y.Shape().H(), out)
 	}

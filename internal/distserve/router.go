@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/rpc"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -41,9 +42,6 @@ type RouterOptions struct {
 	Workers []string
 	// MaxShards caps gang width per request (0 = len(Workers)).
 	MaxShards int
-	// TailExecutors sizes the pool of graph-tail executors gathering
-	// shard results into logits (default 2).
-	TailExecutors int
 	// RequestTimeout bounds queue+scatter+gather+tail (default 2s); a
 	// request's timeout_ms may shorten it.
 	RequestTimeout time.Duration
@@ -135,8 +133,12 @@ type Router struct {
 	sig  string
 	opts RouterOptions
 
-	pool  *dist.ClientPool
-	tails chan *tailExec
+	pool *dist.ClientPool
+	// tails holds one compiled program per GOMAXPROCS slot for the
+	// graph remainder after the last shard stage (Graph.From at
+	// plan.Tail). The programs share the graph's ops and weights, each
+	// with its own slab.
+	tails chan *graph.CompiledProgram
 
 	met    *trace.Metrics
 	log    *slog.Logger
@@ -158,19 +160,10 @@ type Router struct {
 	prof    *memobs.Profiler
 }
 
-// tailExec owns one executor for the graph remainder. All tail
-// executors share one materialized graph and store — safe because every
-// op is stateless in eval mode — but each has private value slots and
-// arena.
-type tailExec struct {
-	ex    *graph.Executor
-	feeds graph.Feeds
-}
-
-// NewRouter materializes the model, extracts the plan, builds the tail
-// executor pool, and prepares (but does not start) the HTTP front end.
-// Workers need not be reachable yet: the health loop admits them as
-// they come up.
+// NewRouter materializes the model, extracts the plan, compiles the
+// tail program pool, and prepares (but does not start) the HTTP front
+// end. Workers need not be reachable yet: the health loop admits them
+// as they come up.
 func NewRouter(opts RouterOptions) (*Router, error) {
 	if len(opts.Workers) == 0 {
 		return nil, errors.New("distserve: router needs at least one worker address")
@@ -191,9 +184,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	if opts.MaxShards <= 0 || opts.MaxShards > len(opts.Workers) {
 		opts.MaxShards = len(opts.Workers)
-	}
-	if opts.TailExecutors <= 0 {
-		opts.TailExecutors = 2
 	}
 	spec := opts.Spec
 	spec.MaxBatch = 1
@@ -220,7 +210,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	rt := &Router{
 		plan: plan, sig: plan.Signature(fp), opts: opts,
 		pool:  dist.NewClientPool(),
-		tails: make(chan *tailExec, opts.TailExecutors),
+		tails: make(chan *graph.CompiledProgram, runtime.GOMAXPROCS(0)),
 		met:   met, log: logger,
 		stop: make(chan struct{}),
 	}
@@ -238,13 +228,23 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		}
 		rt.slo = trace.NewSLOTracker(slo)
 	}
-	for i := 0; i < opts.TailExecutors; i++ {
-		ex, err := graph.NewExecutor(m.Graph, store)
+	tail, err := m.Graph.From(plan.Tail)
+	if err != nil {
+		return nil, err
+	}
+	last := plan.Last()
+	warm := graph.Feeds{plan.Tail: tensor.New(1, last.OutC, last.OutH, last.OutW)}
+	for i := 0; i < cap(rt.tails); i++ {
+		prog, err := graph.Compile(tail, store, graph.CompileOptions{})
 		if err != nil {
 			return nil, err
 		}
-		ex.UseArena(tensor.NewArena())
-		rt.tails <- &tailExec{ex: ex, feeds: graph.Feeds{}}
+		// One serial forward primes the shared ops' cached inference
+		// statistics, so concurrent tails only ever read them.
+		if _, err := prog.Forward(warm); err != nil {
+			return nil, err
+		}
+		rt.tails <- prog
 	}
 	for _, addr := range opts.Workers {
 		rt.workers = append(rt.workers, &workerState{addr: addr, maxPods: 1})
@@ -616,18 +616,18 @@ func (rt *Router) attempt(full *tensor.Tensor, reqID string, attemptNo int, gang
 
 	// Tail: resume the graph from the gathered feature map.
 	tailStart := time.Now()
-	var te *tailExec
+	var prog *graph.CompiledProgram
 	select {
-	case te = <-rt.tails:
+	case prog = <-rt.tails:
 	case <-time.After(time.Until(deadline)):
 		return nil, nil, ErrDeadline
 	}
-	outs, err := te.ex.ForwardFrom(te.feeds, map[string]*tensor.Tensor{rt.plan.Tail: fm})
+	outs, err := prog.Forward(graph.Feeds{rt.plan.Tail: fm})
 	var logits []float32
 	if err == nil {
 		logits = append([]float32(nil), outs[0].Data()...)
 	}
-	rt.tails <- te
+	rt.tails <- prog
 	sc.Record("tail", tailStart, time.Now())
 	if err != nil {
 		return nil, nil, err
@@ -772,13 +772,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		fail(code, err.Error())
 		return
 	}
-	timeout := rt.opts.RequestTimeout
-	if req.TimeoutMs > 0 {
-		if t := time.Duration(req.TimeoutMs) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	deadline := start.Add(timeout)
+	deadline := start.Add(req.Timeout(rt.opts.RequestTimeout))
 	sc.Record("admit", start, time.Now())
 	logits, shards, procs, err := rt.predict(req.Image, deadline, sc)
 	if err != nil {

@@ -474,6 +474,12 @@ func (w *Worker) halo(args *HaloArgs, reply *HaloReply) error {
 	if timeout <= 0 {
 		return fmt.Errorf("distserve: halo request with no time budget")
 	}
+	if args.Stage < 0 || args.Stage >= len(w.plan.Stages) {
+		return fmt.Errorf("distserve: halo wants stage %d of %d", args.Stage, len(w.plan.Stages))
+	}
+	if args.Lo >= args.Hi {
+		return fmt.Errorf("distserve: halo wants empty or inverted rows [%d,%d)", args.Lo, args.Hi)
+	}
 	h0 := time.Now()
 	v, err := w.exch.Wait(args.ReqID, args.Stage, timeout)
 	h1 := time.Now()

@@ -46,7 +46,7 @@ import (
 // output into a caller-supplied destination tensor of the declared
 // output shape, drawing any scratch from the arena (and returning it
 // before the call completes). It must compute bit-identical values to
-// Forward/ForwardArena. dst never aliases an input.
+// Forward. dst never aliases an input.
 type ForwardIntoOp interface {
 	Op
 	ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor)
@@ -173,8 +173,7 @@ type epilogue struct {
 // step is one kernel invocation of the compiled program.
 type step struct {
 	node *Node
-	into ForwardIntoOp  // preferred execution
-	fwdA ArenaForwardOp // fallback: run into scratch, copy to out
+	into ForwardIntoOp // nil: fall back to Forward into scratch + copy
 	in   []*tensor.Tensor
 	out  *tensor.Tensor
 	post []epilogue
@@ -436,9 +435,6 @@ func Compile(g *Graph, store *ParamStore, opts CompileOptions) (*CompiledProgram
 		if fi, ok := n.Op.(ForwardIntoOp); ok {
 			st.into = fi
 		} else {
-			if fa, ok := n.Op.(ArenaForwardOp); ok {
-				st.fwdA = fa
-			}
 			stats.Fallbacks++
 		}
 		for slot, src := range n.Inputs {
@@ -607,13 +603,7 @@ func (p *CompiledProgram) runStep(st *step) {
 		// Fallback for ops without ForwardInto: run the op's own
 		// forward into transient storage and copy into the planned
 		// window. Correct for any op, but not allocation-free.
-		var out *tensor.Tensor
-		var stash any
-		if st.fwdA != nil {
-			out, stash = st.fwdA.ForwardArena(p.scratch, st.in)
-		} else {
-			out, stash = st.node.Op.Forward(st.in)
-		}
+		out, stash := st.node.Op.Forward(p.scratch, st.in)
 		st.out.CopyFrom(out)
 		p.scratch.Put(out)
 		if t, ok := stash.(*tensor.Tensor); ok {

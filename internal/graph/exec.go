@@ -34,32 +34,6 @@ type OpEvent struct {
 // OpHook receives per-op execution events.
 type OpHook func(OpEvent)
 
-// ArenaForwardOp is an optional extension of Op: operations that can
-// draw their output and scratch from a tensor.Arena. ForwardArena with
-// a nil arena must behave exactly like Forward (ops typically implement
-// Forward by delegating). The returned stash, if it holds a tensor,
-// should be a bare *tensor.Tensor — pointers cross the `any` boundary
-// without heap-allocating a box, unlike shapes or index slices.
-type ArenaForwardOp interface {
-	Op
-	ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (out *tensor.Tensor, stash any)
-}
-
-// ArenaBackwardOp is the backward-pass counterpart. The op writes the
-// per-input gradients into gin (len(gin) == number of inputs, entries
-// pre-nil'd; nil means "no gradient") instead of returning a fresh
-// slice, and draws gradient tensors from the arena. inShapes carries
-// every input's static shape — including inputs the executor released —
-// so shape-only adjoints (flatten, average pooling) need no stash at
-// all. The op owns its stash: if Forward stashed an arena tensor,
-// BackwardArena must Put it back. Gradients written to gin must be
-// distinct tensors (or aliases of gradOut, which the executor copies
-// before reuse); two gin entries must not alias each other otherwise.
-type ArenaBackwardOp interface {
-	Op
-	BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, inShapes []tensor.Shape, out *tensor.Tensor, stash any, gin []*tensor.Tensor)
-}
-
 // Executor runs real forward/backward arithmetic for a graph on the CPU.
 // It honors the same liveness discipline the memory planner assumes:
 // after the forward pass, activations that no backward computation needs
@@ -91,23 +65,14 @@ type Executor struct {
 	// arena, when set, supplies all activation/gradient/stash storage.
 	arena *tensor.Arena
 	// Per-node caches built once so the hot loops allocate nothing:
-	// arena-capable op interfaces, reusable input/gradient slices, and
-	// the static input shapes handed to BackwardArena.
-	fwdA     []ArenaForwardOp
-	bwdA     []ArenaBackwardOp
+	// reusable input/gradient slices and the static input shapes handed
+	// to Backward.
 	inbufs   [][]*tensor.Tensor
 	ginbufs  [][]*tensor.Tensor
 	inShapes [][]tensor.Shape
 	grads    []*tensor.Tensor
 	outsBuf  []*tensor.Tensor
 	isOutput []bool
-	// extern marks node values owned by the caller (ForwardFrom
-	// overrides): released and recycled by clearing the slot only,
-	// never by returning the tensor to the arena.
-	extern []bool
-	// ovr caches the reachability analysis of the last ForwardFrom
-	// override set (override.go).
-	ovr *overrideState
 	// retired holds output tensors whose arena reclamation is deferred
 	// to the next Forward: the caller reads them after Backward returns.
 	retired []*tensor.Tensor
@@ -140,15 +105,12 @@ func NewExecutor(g *Graph, store *ParamStore) (*Executor, error) {
 		vals:      make([]*tensor.Tensor, len(g.Nodes)),
 		stashes:   make([]any, len(g.Nodes)),
 		remaining: make([]int, len(g.Nodes)),
-		fwdA:      make([]ArenaForwardOp, len(g.Nodes)),
-		bwdA:      make([]ArenaBackwardOp, len(g.Nodes)),
 		inbufs:    make([][]*tensor.Tensor, len(g.Nodes)),
 		ginbufs:   make([][]*tensor.Tensor, len(g.Nodes)),
 		inShapes:  make([][]tensor.Shape, len(g.Nodes)),
 		grads:     make([]*tensor.Tensor, len(g.Nodes)),
 		outsBuf:   make([]*tensor.Tensor, len(g.Outputs)),
 		isOutput:  make([]bool, len(g.Nodes)),
-		extern:    make([]bool, len(g.Nodes)),
 	}
 	for _, n := range g.Outputs {
 		e.isOutput[n.ID] = true
@@ -164,12 +126,6 @@ func NewExecutor(g *Graph, store *ParamStore) (*Executor, error) {
 			shapes[i] = src.Shape
 		}
 		e.inShapes[n.ID] = shapes
-		if fa, ok := n.Op.(ArenaForwardOp); ok {
-			e.fwdA[n.ID] = fa
-		}
-		if ba, ok := n.Op.(ArenaBackwardOp); ok {
-			e.bwdA[n.ID] = ba
-		}
 	}
 	return e, nil
 }
@@ -211,12 +167,9 @@ func (e *Executor) recycle() {
 			continue
 		}
 		if v := e.vals[n.ID]; v != nil {
-			if !e.extern[n.ID] {
-				e.arena.Put(v)
-			}
+			e.arena.Put(v)
 			e.vals[n.ID] = nil
 		}
-		e.extern[n.ID] = false
 		if st, ok := e.stashes[n.ID].(*tensor.Tensor); ok {
 			e.arena.Put(st)
 		}
@@ -229,37 +182,12 @@ func (e *Executor) recycle() {
 // released before Forward returns. When an arena is installed, the
 // returned tensors are valid until the next Forward call.
 func (e *Executor) Forward(feeds Feeds) ([]*tensor.Tensor, error) {
-	return e.forward(feeds, nil, nil)
-}
-
-// forward is the shared forward core. over, when non-nil, maps node IDs
-// to caller-supplied values that replace the node's computation; need,
-// when non-nil, masks which nodes must execute at all (both come from
-// ForwardFrom's reachability analysis and are nil for a plain Forward).
-func (e *Executor) forward(feeds Feeds, over []*tensor.Tensor, need []bool) ([]*tensor.Tensor, error) {
 	e.recycle()
 	e.liveBytes, e.PeakLiveBytes = 0, 0
 	for id := range e.remaining {
 		e.remaining[id] = len(e.cons[id])
 	}
-	if need != nil {
-		// Only consumers that will actually execute count toward a
-		// value's liveness: skipped and overridden ops never read their
-		// inputs.
-		for id := range e.remaining {
-			r := 0
-			for _, c := range e.cons[id] {
-				if need[c.ID] && over[c.ID] == nil {
-					r++
-				}
-			}
-			e.remaining[id] = r
-		}
-	}
 	for _, n := range e.topo {
-		if need != nil && !need[n.ID] {
-			continue
-		}
 		switch n.Kind {
 		case KindInput:
 			t, ok := feeds[n.Name]
@@ -273,14 +201,6 @@ func (e *Executor) forward(feeds Feeds, over []*tensor.Tensor, need []bool) ([]*
 		case KindParam:
 			e.vals[n.ID] = e.store.Lookup(n.Name).Value
 		case KindOp:
-			if over != nil && over[n.ID] != nil {
-				// Caller-supplied value: adopt without executing and
-				// mark it external so no release path recycles it.
-				e.vals[n.ID] = over[n.ID]
-				e.extern[n.ID] = true
-				e.account(over[n.ID].Bytes())
-				continue
-			}
 			in := e.inbufs[n.ID]
 			for i, src := range n.Inputs {
 				in[i] = e.vals[src.ID]
@@ -292,9 +212,9 @@ func (e *Executor) forward(feeds Feeds, over []*tensor.Tensor, need []bool) ([]*
 			var out *tensor.Tensor
 			var stash any
 			if opLabelsOn() {
-				labelOp(n.Name, func() { out, stash = e.runOp(n, in) })
+				labelOp(n.Name, func() { out, stash = n.Op.Forward(e.arena, in) })
 			} else {
-				out, stash = e.runOp(n, in)
+				out, stash = n.Op.Forward(e.arena, in)
 			}
 			if e.Hook != nil {
 				e.Hook(OpEvent{
@@ -338,14 +258,6 @@ func (e *Executor) forward(feeds Feeds, over []*tensor.Tensor, need []bool) ([]*
 	return outs, nil
 }
 
-// runOp invokes node n's forward kernel (arena-aware when available).
-func (e *Executor) runOp(n *Node, in []*tensor.Tensor) (*tensor.Tensor, any) {
-	if fa := e.fwdA[n.ID]; fa != nil {
-		return fa.ForwardArena(e.arena, in)
-	}
-	return n.Op.Forward(in)
-}
-
 // keepForBackward reports whether node n's forward value is read by any
 // backward computation: by its own op (NeedsOutput) or as a stashed
 // input of a consumer, or is a graph output.
@@ -381,12 +293,6 @@ func (e *Executor) hookStart() float64 {
 func (e *Executor) release(n *Node) {
 	if e.vals[n.ID] != nil && n.Kind == KindOp {
 		e.liveBytes -= e.vals[n.ID].Bytes()
-		if e.extern[n.ID] {
-			// Caller-owned override value: drop the reference only; the
-			// recycle sweep clears the extern mark.
-			e.vals[n.ID] = nil
-			return
-		}
 		if e.isOutput[n.ID] {
 			// The caller may still read this output tensor after
 			// Backward returns; reclaim it at the next Forward instead.
@@ -459,16 +365,9 @@ func (e *Executor) Backward() error {
 			out = e.vals[n.ID]
 		}
 		opStart := e.hookStart()
-		var gin []*tensor.Tensor
-		if ba := e.bwdA[n.ID]; ba != nil {
-			gin = e.ginbufs[n.ID]
-			for j := range gin {
-				gin[j] = nil
-			}
-			ba.BackwardArena(e.arena, gradOut, in, e.inShapes[n.ID], out, e.stashes[n.ID], gin)
-		} else {
-			gin = n.Op.Backward(gradOut, in, out, e.stashes[n.ID])
-		}
+		gin := e.ginbufs[n.ID]
+		clear(gin)
+		n.Op.Backward(e.arena, gradOut, in, e.inShapes[n.ID], out, e.stashes[n.ID], gin)
 		if e.Hook != nil {
 			var produced int64
 			var first *tensor.Tensor
@@ -486,9 +385,6 @@ func (e *Executor) Backward() error {
 				OutputBytes: produced,
 				Output:      first,
 			})
-		}
-		if len(gin) != len(n.Inputs) {
-			return fmt.Errorf("executor: %s backward returned %d grads for %d inputs", n, len(gin), len(n.Inputs))
 		}
 		// Summation ops return gradOut itself as each addend's gradient
 		// (§4.2's shared error terms). Count the aliases up front: a
@@ -545,6 +441,10 @@ func (e *Executor) Backward() error {
 		if !adopted {
 			e.arena.Put(gradOut)
 		}
+		// Drop the reused slice's references, or the gradients of the
+		// kernels that allocate from the heap (batch norm, patch ops)
+		// would stay reachable until the next step.
+		clear(gin)
 		// This node's own gradient and stash are dead now.
 		grads[n.ID] = nil
 		e.stashes[n.ID] = nil

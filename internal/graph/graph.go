@@ -51,15 +51,26 @@ type Op interface {
 	Kind() string
 	// OutShape computes the output shape from input shapes.
 	OutShape(in []tensor.Shape) (tensor.Shape, error)
-	// Forward computes the output. stash carries values (e.g. pooling
-	// argmax indices) forwarded verbatim to Backward.
-	Forward(in []*tensor.Tensor) (out *tensor.Tensor, stash any)
-	// Backward returns the gradient with respect to each input (entries
-	// may be nil for inputs that need no gradient). Inputs whose
-	// NeedsInput is false and the output when NeedsOutput is false are
-	// passed as nil: the executor frees them eagerly, exactly as the
-	// memory planner assumes.
-	Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, out *tensor.Tensor, stash any) []*tensor.Tensor
+	// Forward computes the output, drawing it and any scratch from the
+	// arena; a nil arena means plain heap allocation. stash carries
+	// values (e.g. pooling argmax indices) forwarded verbatim to
+	// Backward. A stash that holds a tensor should be a bare
+	// *tensor.Tensor: pointers cross the `any` boundary without
+	// heap-allocating a box, and the executor returns such stashes to
+	// the arena when it discards them unused.
+	Forward(a *tensor.Arena, in []*tensor.Tensor) (out *tensor.Tensor, stash any)
+	// Backward writes the gradient with respect to each input into gin
+	// (len(gin) == number of inputs, entries pre-nil'd; nil means "no
+	// gradient"), drawing gradient tensors from the arena (nil = heap).
+	// Inputs whose NeedsInput is false and the output when NeedsOutput
+	// is false are passed as nil: the executor frees them eagerly,
+	// exactly as the memory planner assumes. inShapes carries every
+	// input's static shape — including released inputs — so shape-only
+	// adjoints (flatten, average pooling) need no stash. The op owns its
+	// stash: if Forward stashed an arena tensor, Backward must Put it
+	// back. Gradients written to gin must be distinct tensors (or
+	// aliases of gradOut, which the executor copies before reuse).
+	Backward(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, inShapes []tensor.Shape, out *tensor.Tensor, stash any, gin []*tensor.Tensor)
 	// NeedsInput reports whether input i must be kept (or offloaded and
 	// prefetched) for the backward pass.
 	NeedsInput(i int) bool
@@ -199,4 +210,64 @@ func (g *Graph) FindNode(name string) *Node {
 		}
 	}
 	return nil
+}
+
+// From returns the subgraph that computes g's outputs with op node name
+// turned into an input node of the same name and shape: the graph's
+// tail, entered at a named node. It shares g's Op values and refers to
+// the same parameter names, so one ParamStore serves both graphs, and
+// it drops every node that only exists to produce name's value. It
+// fails when name is not an op node, when no output depends on it, or
+// when an output still reads another input of g.
+func (g *Graph) From(name string) (*Graph, error) {
+	cut := g.FindNode(name)
+	if cut == nil || cut.Kind != KindOp {
+		return nil, fmt.Errorf("graph: From(%q): not an op node", name)
+	}
+	need := make([]bool, len(g.Nodes))
+	stack := make([]*Node, 0, len(g.Outputs))
+	for _, o := range g.Outputs {
+		if !need[o.ID] {
+			need[o.ID] = true
+			stack = append(stack, o)
+		}
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == cut {
+			continue
+		}
+		for _, src := range n.Inputs {
+			if !need[src.ID] {
+				need[src.ID] = true
+				stack = append(stack, src)
+			}
+		}
+	}
+	if !need[cut.ID] {
+		return nil, fmt.Errorf("graph: From(%q): node feeds no output", name)
+	}
+	sub := New()
+	mapped := make([]*Node, len(g.Nodes))
+	for _, n := range g.Nodes {
+		switch {
+		case !need[n.ID]:
+			continue
+		case n == cut:
+			mapped[n.ID] = sub.Input(n.Name, n.Shape)
+		case n.Kind == KindInput:
+			return nil, fmt.Errorf("graph: From(%q): outputs still read input %q", name, n.Name)
+		default:
+			ins := make([]*Node, len(n.Inputs))
+			for i, src := range n.Inputs {
+				ins[i] = mapped[src.ID]
+			}
+			mapped[n.ID] = sub.add(&Node{Name: n.Name, Kind: n.Kind, Op: n.Op, Inputs: ins, Shape: n.Shape})
+		}
+	}
+	for _, o := range g.Outputs {
+		sub.Outputs = append(sub.Outputs, mapped[o.ID])
+	}
+	return sub, nil
 }

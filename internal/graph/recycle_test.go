@@ -2,7 +2,10 @@ package graph_test
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"splitcnn/internal/graph"
 	"splitcnn/internal/nn"
@@ -156,4 +159,49 @@ func TestForwardOnlyOutputRecycleStability(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBackwardDropsHeapGradients checks that the executor keeps no
+// reference to a gradient once Backward has consumed it. Batch norm's
+// kernels allocate from the heap, so a gradient the executor still
+// held (in its reused per-op gradient slice) would stay live until the
+// next step and raise training's peak memory by one set of them.
+func TestBackwardDropsHeapGradients(t *testing.T) {
+	g := graph.New()
+	x := g.Input("x", tensor.Shape{2, 3, 4, 4})
+	w := g.Param("c.w", tensor.Shape{3, 3, 3, 3})
+	c := g.Add("c", nn.NewConv(3, 1, 1), x, w, g.Param("c.b", tensor.Shape{3}))
+	bn := g.Add("bn", nn.NewBatchNorm(nn.NewBNState("bn", 3)), c,
+		g.Param("bn.gamma", tensor.Shape{3}), g.Param("bn.beta", tensor.Shape{3}))
+	g.SetOutput(g.Add("gap", nn.GlobalAvgPool{}, bn))
+	store := graph.NewParamStore()
+	rng := rand.New(rand.NewSource(3))
+	store.InitFromGraph(g, rng, nn.KaimingInit)
+	xt := tensor.New(2, 3, 4, 4)
+	xt.RandNormal(rng, 1)
+
+	ex, err := graph.NewExecutor(g, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var collected atomic.Bool
+	ex.Hook = func(ev graph.OpEvent) {
+		if ev.Backward && ev.Name == "bn" {
+			runtime.SetFinalizer(ev.Output, func(*tensor.Tensor) { collected.Store(true) })
+		}
+	}
+	if _, err := ex.Forward(graph.Feeds{"x": xt}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Backward(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("batch norm's input gradient is still reachable after Backward")
+	}
+	runtime.KeepAlive(ex)
 }

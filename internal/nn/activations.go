@@ -31,28 +31,14 @@ func (ReLU) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 }
 
 // Forward implements graph.Op.
-func (ReLU) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	out := tensor.New(in[0].Shape()...)
-	tensor.ReLU(out, in[0])
-	return out, nil
-}
-
-// ForwardArena implements graph.ArenaForwardOp.
-func (ReLU) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
+func (ReLU) Forward(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	out := a.GetRaw(in[0].Shape()...)
 	tensor.ReLU(out, in[0])
 	return out, nil
 }
 
 // Backward implements graph.Op.
-func (ReLU) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, out *tensor.Tensor, _ any) []*tensor.Tensor {
-	gi := tensor.New(gradOut.Shape()...)
-	tensor.ReLUBackward(gi, gradOut, out)
-	return []*tensor.Tensor{gi}
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (ReLU) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, out *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+func (ReLU) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, out *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	gi := a.GetRaw(gradOut.Shape()...)
 	tensor.ReLUBackward(gi, gradOut, out)
 	gin[0] = gi
@@ -97,30 +83,11 @@ func (d *Dropout) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return in[0].Clone(), nil
 }
 
-// Forward implements graph.Op. The stash is the keep mask.
-func (d *Dropout) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	x := in[0]
-	if !d.Training || d.Rng == nil || d.P <= 0 {
-		return x.Clone(), nil
-	}
-	out := tensor.New(x.Shape()...)
-	mask := make([]bool, x.Elems())
-	scale := float32(1 / (1 - d.P))
-	for i, v := range x.Data() {
-		if d.Rng.Float64() >= d.P {
-			mask[i] = true
-			out.Data()[i] = v * scale
-		}
-	}
-	return out, mask
-}
-
-// ForwardArena implements graph.ArenaForwardOp. Instead of a []bool
-// mask, the arena path stashes a float32 tensor holding the per-element
-// scale (0 for dropped, 1/(1−P) for kept): a *Tensor crosses the stash
-// `any` boundary without boxing, and the backward pass becomes one
-// elementwise multiply.
-func (d *Dropout) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
+// Forward implements graph.Op. The stash is a float32 tensor holding
+// the per-element scale (0 for dropped, 1/(1−P) for kept): a *Tensor
+// crosses the stash `any` boundary without boxing, and the backward
+// pass becomes one elementwise multiply.
+func (d *Dropout) Forward(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	x := in[0]
 	out := a.GetRaw(x.Shape()...)
 	if !d.Training || d.Rng == nil || d.P <= 0 {
@@ -142,26 +109,9 @@ func (d *Dropout) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Te
 	return out, mask
 }
 
-// Backward implements graph.Op.
-func (d *Dropout) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	gi := tensor.New(gradOut.Shape()...)
-	if stash == nil {
-		gi.CopyFrom(gradOut)
-		return []*tensor.Tensor{gi}
-	}
-	mask := stash.([]bool)
-	scale := float32(1 / (1 - d.P))
-	for i, g := range gradOut.Data() {
-		if mask[i] {
-			gi.Data()[i] = g * scale
-		}
-	}
-	return []*tensor.Tensor{gi}
-}
-
-// BackwardArena implements graph.ArenaBackwardOp; the stash, when
-// non-nil, is the scale-mask tensor from ForwardArena.
-func (d *Dropout) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, stash any, gin []*tensor.Tensor) {
+// Backward implements graph.Op; the stash, when non-nil, is the
+// scale-mask tensor from Forward.
+func (d *Dropout) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, stash any, gin []*tensor.Tensor) {
 	gi := a.GetRaw(gradOut.Shape()...)
 	if stash == nil {
 		gi.CopyFrom(gradOut)

@@ -125,8 +125,9 @@ func (b *BatchNorm) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return x.Clone(), nil
 }
 
-// Forward implements graph.Op.
-func (b *BatchNorm) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
+// Forward implements graph.Op. It allocates from the heap whatever the
+// arena.
+func (b *BatchNorm) Forward(_ *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	x, gamma, beta := in[0], in[1], in[2]
 	s := x.Shape()
 	n, c, h, w := s.N(), s.C(), s.H(), s.W()
@@ -178,8 +179,9 @@ func (b *BatchNorm) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
 	return out, &bnStash{mean: mean, invStd: invStd}
 }
 
-// Backward implements graph.Op.
-func (b *BatchNorm) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, out *tensor.Tensor, stash any) []*tensor.Tensor {
+// Backward implements graph.Op. Like Forward, it allocates from the
+// heap.
+func (b *BatchNorm) Backward(_ *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, out *tensor.Tensor, stash any, gin []*tensor.Tensor) {
 	st := stash.(*bnStash)
 	gamma, beta := in[1], in[2]
 	s := gradOut.Shape()
@@ -267,8 +269,7 @@ func (b *BatchNorm) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, out *t
 			}
 		}
 	}
-	_ = beta
-	return []*tensor.Tensor{gradX, gGamma, gBeta}
+	gin[0], gin[1], gin[2] = gradX, gGamma, gBeta
 }
 
 // NeedsInput implements graph.Op: the input feature map is stashed only

@@ -58,8 +58,9 @@ func (b *BNReLU) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return in[0].Clone(), nil
 }
 
-// Forward implements graph.Op.
-func (b *BNReLU) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
+// Forward implements graph.Op. It allocates from the heap whatever the
+// arena.
+func (b *BNReLU) Forward(_ *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	x, gamma, beta := in[0], in[1], in[2]
 	s := x.Shape()
 	n, c, plane := s.N(), s.C(), s.H()*s.W()
@@ -113,8 +114,9 @@ func (b *BNReLU) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
 }
 
 // Backward implements graph.Op: everything is reconstructed from the
-// stashed output (x̂ = (inv-leaky(y) − β)/γ), so in[0] is nil.
-func (b *BNReLU) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, out *tensor.Tensor, stash any) []*tensor.Tensor {
+// stashed output (x̂ = (inv-leaky(y) − β)/γ), so in[0] is nil. Like
+// Forward, it allocates from the heap.
+func (b *BNReLU) Backward(_ *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, out *tensor.Tensor, stash any, gin []*tensor.Tensor) {
 	st := stash.(*bnStash)
 	gamma := in[1]
 	s := gradOut.Shape()
@@ -194,7 +196,7 @@ func (b *BNReLU) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, out *tens
 			}
 		}
 	}
-	return []*tensor.Tensor{gradX, gGamma, gBeta}
+	gin[0], gin[1], gin[2] = gradX, gGamma, gBeta
 }
 
 // NeedsInput implements graph.Op: only gamma and beta are re-read.

@@ -20,10 +20,10 @@ func TestBNReLUForwardMatchesUnfused(t *testing.T) {
 	in := []*tensor.Tensor{x, gamma, beta}
 
 	fused := nn.NewBNReLU(nn.NewBNState("a", 3))
-	fusedOut, _ := fused.Forward(in)
+	fusedOut, _ := fused.Forward(nil, in)
 
 	bn := nn.NewBatchNorm(nn.NewBNState("b", 3))
-	bnOut, _ := bn.Forward(in)
+	bnOut, _ := bn.Forward(nil, in)
 	// Leaky ReLU with the same slope.
 	want := bnOut.Clone()
 	for i, v := range want.Data() {

@@ -5,8 +5,8 @@
 // compiler can fuse or elide it. Two contracts govern this file:
 //
 //   - Bit identity. Each ForwardInto/ForwardInplace must produce values
-//     bit-identical to the op's Forward/ForwardArena: same expression,
-//     same evaluation order, same float64→float32 cast points. That is
+//     bit-identical to the op's Forward: same expression, same
+//     evaluation order, same float64→float32 cast points. That is
 //     why the batch-norm family is folded by re-running its exact
 //     inference affine in place rather than by folding the statistics
 //     into conv weights, which would change the rounding.
@@ -26,9 +26,9 @@ import (
 // ---- Conv ----
 
 // ForwardInto implements graph.ForwardIntoOp. It consults the same
-// autotuned dispatch as Forward/ForwardArena, so the interpreted and
-// compiled paths always run the same backend for a given shape and
-// stay bit-identical to each other; every backend's Into entry takes
+// autotuned dispatch as Forward, so the interpreted and compiled paths
+// always run the same backend for a given shape and stay bit-identical
+// to each other; every backend's Into entry takes
 // scratch from the pool or arena only, keeping the warmed compiled
 // forward allocation-free.
 func (c *Conv) ForwardInto(a *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) {
@@ -69,8 +69,8 @@ func (d *Dropout) identity() bool { return !d.Training || d.Rng == nil || d.P <=
 func (d *Dropout) IsNoop() bool { return d.identity() }
 
 // ForwardInto implements graph.ForwardIntoOp. Training mode draws the
-// same per-element Rng sequence as Forward/ForwardArena, so a compiled
-// forward and an interpreted forward over fresh ops with identically
+// same per-element Rng sequence as Forward, so a compiled forward and
+// an interpreted forward over fresh ops with identically
 // seeded Rngs produce bit-identical outputs.
 func (d *Dropout) ForwardInto(_ *tensor.Arena, dst *tensor.Tensor, in []*tensor.Tensor) {
 	x := in[0]

@@ -87,21 +87,7 @@ func (c *Conv) algo(x, weight *tensor.Tensor) autotune.Algo {
 // autotuner; the untuned default is the Winograd F(2x2, 3x3) fast path
 // for 3x3 stride-1 convolutions — the very algorithm whose adoption
 // §2.2.1 blames for making layers memory-bound — and im2col otherwise.
-func (c *Conv) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	var bias *tensor.Tensor
-	if c.HasBias {
-		bias = in[2]
-	}
-	switch c.algo(in[0], in[1]) {
-	case autotune.Winograd:
-		return tensor.Conv2DWinograd(in[0], in[1], bias, c.Params), nil
-	default:
-		return tensor.Conv2D(in[0], in[1], bias, c.Params), nil
-	}
-}
-
-// ForwardArena implements graph.ArenaForwardOp.
-func (c *Conv) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
+func (c *Conv) Forward(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	var bias *tensor.Tensor
 	if c.HasBias {
 		bias = in[2]
@@ -115,23 +101,7 @@ func (c *Conv) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tenso
 }
 
 // Backward implements graph.Op.
-func (c *Conv) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, _ *tensor.Tensor, _ any) []*tensor.Tensor {
-	x, w := in[0], in[1]
-	gw := tensor.New(w.Shape()...)
-	var gb *tensor.Tensor
-	if c.HasBias {
-		gb = tensor.New(w.Shape()[0])
-	}
-	gx := tensor.Conv2DBackward(x, w, gradOut, c.Params, gw, gb, true)
-	out := []*tensor.Tensor{gx, gw}
-	if c.HasBias {
-		out = append(out, gb)
-	}
-	return out
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (c *Conv) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+func (c *Conv) Backward(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	x, w := in[0], in[1]
 	gw := a.Get(w.Shape()...) // zeroed: the weight-gradient GEMM accumulates
 	var gb *tensor.Tensor

@@ -20,29 +20,17 @@ func (Flatten) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{in[0][0], in[0].Elems() / in[0][0]}, nil
 }
 
-// Forward implements graph.Op.
-func (Flatten) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	s := in[0].Shape()
-	return in[0].Clone().Reshape(s[0], in[0].Elems()/s[0]), s
-}
-
-// Backward implements graph.Op.
-func (Flatten) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	s := stash.(tensor.Shape)
-	return []*tensor.Tensor{gradOut.Clone().Reshape(s...)}
-}
-
-// ForwardArena implements graph.ArenaForwardOp. No stash: the backward
-// pass recovers the input shape from the executor's static shape table.
-func (Flatten) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
+// Forward implements graph.Op. No stash: the backward pass recovers the
+// input shape from the executor's static shape table.
+func (Flatten) Forward(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	s := in[0].Shape()
 	out := a.GetRaw(s[0], in[0].Elems()/s[0])
 	out.CopyFrom(in[0])
 	return out, nil
 }
 
-// BackwardArena implements graph.ArenaBackwardOp.
-func (Flatten) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+// Backward implements graph.Op.
+func (Flatten) Backward(a *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	gi := a.GetRaw(inShapes[0]...)
 	gi.CopyFrom(gradOut)
 	gin[0] = gi
@@ -84,22 +72,7 @@ func (Linear) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 }
 
 // Forward implements graph.Op.
-func (Linear) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	x, w, b := in[0], in[1], in[2]
-	n, k := x.Shape()[0], w.Shape()[0]
-	out := tensor.New(n, k)
-	tensor.MatMulBT(out, x, w)
-	for r := 0; r < n; r++ {
-		row := out.Data()[r*k : (r+1)*k]
-		for i := range row {
-			row[i] += b.Data()[i]
-		}
-	}
-	return out, nil
-}
-
-// ForwardArena implements graph.ArenaForwardOp.
-func (Linear) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
+func (Linear) Forward(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	x, w, b := in[0], in[1], in[2]
 	n, k := x.Shape()[0], w.Shape()[0]
 	out := a.GetRaw(n, k)
@@ -114,26 +87,7 @@ func (Linear) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor
 }
 
 // Backward implements graph.Op.
-func (Linear) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, _ *tensor.Tensor, _ any) []*tensor.Tensor {
-	x, w := in[0], in[1]
-	n, k := gradOut.Shape()[0], gradOut.Shape()[1]
-	d := x.Shape()[1]
-	gx := tensor.New(n, d)
-	tensor.MatMul(gx, gradOut, w) // [N,K]@[K,D]
-	gw := tensor.New(k, d)
-	tensor.MatMulAT(gw, gradOut, x) // gradOutᵀ@x
-	gb := tensor.New(k)
-	for r := 0; r < n; r++ {
-		row := gradOut.Data()[r*k : (r+1)*k]
-		for i, v := range row {
-			gb.Data()[i] += v
-		}
-	}
-	return []*tensor.Tensor{gx, gw, gb}
-}
-
-// BackwardArena implements graph.ArenaBackwardOp.
-func (Linear) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+func (Linear) Backward(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	x, w := in[0], in[1]
 	n, k := gradOut.Shape()[0], gradOut.Shape()[1]
 	d := x.Shape()[1]

@@ -27,32 +27,9 @@ func (SoftmaxCrossEntropy) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{1}, nil
 }
 
-// Forward implements graph.Op. The stash holds the softmax probabilities
-// and the labels for the backward pass.
-func (SoftmaxCrossEntropy) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	logits, labels := in[0], in[1]
-	n, k := logits.Shape()[0], logits.Shape()[1]
-	probs := tensor.New(n, k)
-	tensor.Softmax(probs, logits)
-	var loss float64
-	for r := 0; r < n; r++ {
-		c := int(labels.Data()[r])
-		if c < 0 || c >= k {
-			panic(fmt.Sprintf("softmax_xent: label %d out of range [0,%d)", c, k))
-		}
-		p := float64(probs.At(r, c))
-		if p < 1e-12 {
-			p = 1e-12
-		}
-		loss -= math.Log(p)
-	}
-	out := tensor.New(1)
-	out.Data()[0] = float32(loss / float64(n))
-	return out, probs
-}
-
-// ForwardArena implements graph.ArenaForwardOp.
-func (SoftmaxCrossEntropy) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
+// Forward implements graph.Op. The stash is the softmax probability
+// matrix for the backward pass.
+func (SoftmaxCrossEntropy) Forward(a *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	logits, labels := in[0], in[1]
 	n, k := logits.Shape()[0], logits.Shape()[1]
 	probs := a.GetRaw(n, k)
@@ -75,29 +52,9 @@ func (SoftmaxCrossEntropy) ForwardArena(a *tensor.Arena, in []*tensor.Tensor) (*
 }
 
 // Backward implements graph.Op: d loss / d logit = (p − onehot) / N.
-func (SoftmaxCrossEntropy) Backward(gradOut *tensor.Tensor, in []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	probs := stash.(*tensor.Tensor)
-	labels := in[1]
-	n, k := probs.Shape()[0], probs.Shape()[1]
-	g := gradOut.Data()[0]
-	gl := tensor.New(n, k)
-	inv := g / float32(n)
-	for r := 0; r < n; r++ {
-		c := int(labels.Data()[r])
-		row := probs.Data()[r*k : (r+1)*k]
-		dst := gl.Data()[r*k : (r+1)*k]
-		for i, p := range row {
-			dst[i] = p * inv
-		}
-		dst[c] -= inv
-	}
-	return []*tensor.Tensor{gl, nil}
-}
-
-// BackwardArena implements graph.ArenaBackwardOp; it returns the
-// stashed probability matrix to the arena once the logit gradient has
-// been formed.
-func (SoftmaxCrossEntropy) BackwardArena(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, stash any, gin []*tensor.Tensor) {
+// It returns the stashed probability matrix to the arena once the logit
+// gradient has been formed.
+func (SoftmaxCrossEntropy) Backward(a *tensor.Arena, gradOut *tensor.Tensor, in []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, stash any, gin []*tensor.Tensor) {
 	probs := stash.(*tensor.Tensor)
 	labels := in[1]
 	n, k := probs.Shape()[0], probs.Shape()[1]

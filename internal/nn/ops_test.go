@@ -9,6 +9,23 @@ import (
 	"splitcnn/internal/tensor"
 )
 
+// backward runs op's Backward with a nil (heap) arena and returns the
+// input gradients.
+func backward(op graph.Op, gradOut *tensor.Tensor, in []*tensor.Tensor, inShapes []tensor.Shape, out *tensor.Tensor, stash any) []*tensor.Tensor {
+	gin := make([]*tensor.Tensor, len(inShapes))
+	op.Backward(nil, gradOut, in, inShapes, out, stash, gin)
+	return gin
+}
+
+// shapesOf returns the shapes of ts, the inShapes of an op call.
+func shapesOf(ts ...*tensor.Tensor) []tensor.Shape {
+	out := make([]tensor.Shape, len(ts))
+	for i, t := range ts {
+		out[i] = t.Shape()
+	}
+	return out
+}
+
 // gradCheck numerically validates d sum(output) / d param for every
 // parameter of the graph (probing a handful of coordinates each) and,
 // when inputName is non-empty, for that input as well.
@@ -117,11 +134,11 @@ func TestBatchNormRecomputeMatchesStandard(t *testing.T) {
 		bn := nn.NewBatchNorm(nn.NewBNState("bn", 3))
 		bn.Recompute = recompute
 		in := []*tensor.Tensor{x, gamma, beta}
-		out, stash := bn.Forward(in)
+		out, stash := bn.Forward(nil, in)
 		if recompute {
-			return bn.Backward(gradOut, []*tensor.Tensor{nil, gamma, beta}, out, stash)
+			return backward(bn, gradOut, []*tensor.Tensor{nil, gamma, beta}, shapesOf(in...), out, stash)
 		}
-		return bn.Backward(gradOut, in, nil, stash)
+		return backward(bn, gradOut, in, shapesOf(in...), nil, stash)
 	}
 	std := run(false)
 	rec := run(true)
@@ -157,13 +174,13 @@ func TestSoftmaxXentGradient(t *testing.T) {
 	op := nn.SoftmaxCrossEntropy{}
 
 	loss := func() float64 {
-		out, _ := op.Forward([]*tensor.Tensor{logits, labels})
+		out, _ := op.Forward(nil, []*tensor.Tensor{logits, labels})
 		return float64(out.Data()[0])
 	}
-	_, stash := op.Forward([]*tensor.Tensor{logits, labels})
+	_, stash := op.Forward(nil, []*tensor.Tensor{logits, labels})
 	seed := tensor.New(1)
 	seed.Fill(1)
-	grads := op.Backward(seed, []*tensor.Tensor{nil, labels}, nil, stash)
+	grads := backward(op, seed, []*tensor.Tensor{nil, labels}, shapesOf(logits, labels), nil, stash)
 	gl := grads[0]
 	if grads[1] != nil {
 		t.Fatal("labels must not receive a gradient")
@@ -218,12 +235,12 @@ func TestAddSharedErrorAliases(t *testing.T) {
 	a := tensor.FromSlice([]float32{1, 2}, 2)
 	b := tensor.FromSlice([]float32{3, 4}, 2)
 	c := tensor.FromSlice([]float32{5, 6}, 2)
-	out, _ := op.Forward([]*tensor.Tensor{a, b, c})
+	out, _ := op.Forward(nil, []*tensor.Tensor{a, b, c})
 	if out.Data()[0] != 9 || out.Data()[1] != 12 {
 		t.Fatalf("add output %v", out.Data())
 	}
 	g := tensor.FromSlice([]float32{7, 8}, 2)
-	grads := op.Backward(g, nil, nil, nil)
+	grads := backward(op, g, make([]*tensor.Tensor, 3), shapesOf(a, b, c), nil, nil)
 	if len(grads) != 3 {
 		t.Fatalf("want 3 grads, got %d", len(grads))
 	}
@@ -246,15 +263,15 @@ func TestExtractConcatRoundTrip(t *testing.T) {
 	patches := make([]*tensor.Tensor, 4)
 	for i, b := range bounds {
 		op := &nn.ExtractPatch{H0: b.h0, H1: b.h1, W0: b.w0, W1: b.w1}
-		patches[i], _ = op.Forward([]*tensor.Tensor{x})
+		patches[i], _ = op.Forward(nil, []*tensor.Tensor{x})
 	}
 	cat := &nn.ConcatPatches{NH: 2, NW: 2}
-	out, stash := cat.Forward(patches)
+	out, stash := cat.Forward(nil, patches)
 	if d := tensor.MaxAbsDiff(out, x); d != 0 {
 		t.Fatalf("extract+concat is not the identity: diff %v", d)
 	}
 	// Backward of concat must give back exactly the patch gradients.
-	grads := cat.Backward(x, nil, nil, stash)
+	grads := backward(cat, x, make([]*tensor.Tensor, 4), shapesOf(patches...), nil, stash)
 	for i := range grads {
 		if d := tensor.MaxAbsDiff(grads[i], patches[i]); d != 0 {
 			t.Fatalf("concat backward patch %d diff %v", i, d)
@@ -262,8 +279,8 @@ func TestExtractConcatRoundTrip(t *testing.T) {
 	}
 	// Backward of extract scatters into the right window.
 	op := &nn.ExtractPatch{H0: 2, H1: 6, W0: 5, W1: 8}
-	p, st := op.Forward([]*tensor.Tensor{x})
-	gi := op.Backward(p, nil, nil, st)[0]
+	p, st := op.Forward(nil, []*tensor.Tensor{x})
+	gi := backward(op, p, []*tensor.Tensor{nil}, shapesOf(x), nil, st)[0]
 	if gi.At(0, 0, 0, 0) != 0 {
 		t.Fatal("extract backward leaked outside window")
 	}
@@ -277,7 +294,7 @@ func TestDropoutMask(t *testing.T) {
 	op := &nn.Dropout{P: 0.5, Training: true, Rng: rng}
 	x := tensor.New(1, 1000)
 	x.Fill(1)
-	out, stash := op.Forward([]*tensor.Tensor{x})
+	out, stash := op.Forward(nil, []*tensor.Tensor{x})
 	kept := 0
 	for _, v := range out.Data() {
 		if v != 0 {
@@ -292,7 +309,7 @@ func TestDropoutMask(t *testing.T) {
 	}
 	g := tensor.New(1, 1000)
 	g.Fill(1)
-	gi := op.Backward(g, nil, nil, stash)[0]
+	gi := backward(op, g, []*tensor.Tensor{nil}, shapesOf(x), nil, stash)[0]
 	for i, v := range gi.Data() {
 		wantZero := out.Data()[i] == 0
 		if wantZero && v != 0 || !wantZero && v != 2 {
@@ -301,7 +318,7 @@ func TestDropoutMask(t *testing.T) {
 	}
 	// Eval mode: identity.
 	op.Training = false
-	out2, _ := op.Forward([]*tensor.Tensor{x})
+	out2, _ := op.Forward(nil, []*tensor.Tensor{x})
 	if d := tensor.MaxAbsDiff(out2, x); d != 0 {
 		t.Fatalf("eval-mode dropout not identity: %v", d)
 	}
@@ -310,12 +327,12 @@ func TestDropoutMask(t *testing.T) {
 func TestFlattenRoundTrip(t *testing.T) {
 	op := nn.Flatten{}
 	x := tensor.New(2, 3, 4, 5)
-	out, stash := op.Forward([]*tensor.Tensor{x})
+	out, stash := op.Forward(nil, []*tensor.Tensor{x})
 	if !out.Shape().Equal(tensor.Shape{2, 60}) {
 		t.Fatalf("flatten shape %v", out.Shape())
 	}
 	g := tensor.New(2, 60)
-	gi := op.Backward(g, nil, nil, stash)[0]
+	gi := backward(op, g, []*tensor.Tensor{nil}, shapesOf(x), nil, stash)[0]
 	if !gi.Shape().Equal(x.Shape()) {
 		t.Fatalf("flatten backward shape %v", gi.Shape())
 	}
@@ -324,12 +341,12 @@ func TestFlattenRoundTrip(t *testing.T) {
 func TestGlobalAvgPool(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
 	op := nn.GlobalAvgPool{}
-	out, stash := op.Forward([]*tensor.Tensor{x})
+	out, stash := op.Forward(nil, []*tensor.Tensor{x})
 	if out.At(0, 0, 0, 0) != 2.5 || out.At(0, 1, 0, 0) != 25 {
 		t.Fatalf("gap output %v", out.Data())
 	}
 	g := tensor.FromSlice([]float32{4, 8}, 1, 2, 1, 1)
-	gi := op.Backward(g, nil, nil, stash)[0]
+	gi := backward(op, g, []*tensor.Tensor{nil}, shapesOf(x), nil, stash)[0]
 	if gi.At(0, 0, 1, 1) != 1 || gi.At(0, 1, 0, 0) != 2 {
 		t.Fatalf("gap backward %v", gi.Data())
 	}

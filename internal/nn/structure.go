@@ -36,27 +36,7 @@ func (a *Add) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 }
 
 // Forward implements graph.Op.
-func (a *Add) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	out := in[0].Clone()
-	for _, x := range in[1:] {
-		tensor.AXPY(out, 1, x)
-	}
-	return out, nil
-}
-
-// Backward implements graph.Op: the same error flows to every addend.
-// All returned gradients alias one tensor, matching the storage-sharing
-// optimization.
-func (a *Add) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, _ any) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, a.N)
-	for i := range out {
-		out[i] = gradOut
-	}
-	return out
-}
-
-// ForwardArena implements graph.ArenaForwardOp.
-func (a *Add) ForwardArena(ar *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
+func (a *Add) Forward(ar *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	out := ar.GetRaw(in[0].Shape()...)
 	out.CopyFrom(in[0])
 	for _, x := range in[1:] {
@@ -65,9 +45,10 @@ func (a *Add) ForwardArena(ar *tensor.Arena, in []*tensor.Tensor) (*tensor.Tenso
 	return out, nil
 }
 
-// BackwardArena implements graph.ArenaBackwardOp: every gin entry
-// aliases gradOut; the executor copies the aliases it cannot adopt.
-func (a *Add) BackwardArena(_ *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+// Backward implements graph.Op: the same error flows to every addend,
+// so every gin entry aliases gradOut, matching the storage-sharing
+// optimization; the executor copies the aliases it cannot adopt.
+func (a *Add) Backward(_ *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, _ []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
 	for i := range gin {
 		gin[i] = gradOut
 	}
@@ -110,8 +91,10 @@ func (e *ExtractPatch) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{s.N(), s.C(), e.H1 - e.H0, e.W1 - e.W0}, nil
 }
 
-// Forward implements graph.Op.
-func (e *ExtractPatch) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
+// Forward implements graph.Op. It allocates from the heap whatever the
+// arena; Backward recovers the input shape from inShapes, so nothing is
+// stashed.
+func (e *ExtractPatch) Forward(_ *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	x := in[0]
 	s := x.Shape()
 	n, c, h, w := s.N(), s.C(), s.H(), s.W()
@@ -124,12 +107,12 @@ func (e *ExtractPatch) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
 			copy(dst[y*pw:(y+1)*pw], src[(y+e.H0)*w+e.W0:(y+e.H0)*w+e.W1])
 		}
 	}
-	return out, s
+	return out, nil
 }
 
 // Backward implements graph.Op.
-func (e *ExtractPatch) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	s := stash.(tensor.Shape)
+func (e *ExtractPatch) Backward(_ *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+	s := inShapes[0]
 	n, c, h, w := s.N(), s.C(), s.H(), s.W()
 	ph, pw := e.H1-e.H0, e.W1-e.W0
 	gi := tensor.New(n, c, h, w)
@@ -140,7 +123,7 @@ func (e *ExtractPatch) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *t
 			copy(dst[(y+e.H0)*w+e.W0:(y+e.H0)*w+e.W1], src[y*pw:(y+1)*pw])
 		}
 	}
-	return []*tensor.Tensor{gi}
+	gin[0] = gi
 }
 
 // NeedsInput implements graph.Op.
@@ -199,39 +182,31 @@ func (c *ConcatPatches) OutShape(in []tensor.Shape) (tensor.Shape, error) {
 	return tensor.Shape{n, ch, totalH, totalW}, nil
 }
 
-type concatStash struct {
-	hStarts, wStarts []int
-}
-
-// Forward implements graph.Op. The stash records where the patch
-// boundaries fell so the backward pass can split the gradient.
-func (c *ConcatPatches) Forward(in []*tensor.Tensor) (*tensor.Tensor, any) {
-	st := &concatStash{hStarts: make([]int, c.NH), wStarts: make([]int, c.NW)}
-	for i, off := 0, 0; i < c.NH; i++ {
-		st.hStarts[i] = off
-		off += in[i*c.NW].Shape().H()
-	}
-	for j, off := 0, 0; j < c.NW; j++ {
-		st.wStarts[j] = off
-		off += in[j].Shape().W()
-	}
+// Forward implements graph.Op. It allocates from the heap whatever the
+// arena.
+func (c *ConcatPatches) Forward(_ *tensor.Arena, in []*tensor.Tensor) (*tensor.Tensor, any) {
 	rows := make([]*tensor.Tensor, c.NH)
 	for i := 0; i < c.NH; i++ {
 		rows[i] = tensor.ConcatSpatial(in[i*c.NW:(i+1)*c.NW], tensor.DimW)
 	}
-	return tensor.ConcatSpatial(rows, tensor.DimH), st
+	return tensor.ConcatSpatial(rows, tensor.DimH), nil
 }
 
-// Backward implements graph.Op: split the gradient back into patches.
-func (c *ConcatPatches) Backward(gradOut *tensor.Tensor, _ []*tensor.Tensor, _ *tensor.Tensor, stash any) []*tensor.Tensor {
-	st := stash.(*concatStash)
-	hStarts, wStarts := st.hStarts, st.wStarts
-	rows := tensor.SplitSpatial(gradOut, tensor.DimH, hStarts)
-	out := make([]*tensor.Tensor, 0, c.NH*c.NW)
-	for _, r := range rows {
-		out = append(out, tensor.SplitSpatial(r, tensor.DimW, wStarts)...)
+// Backward implements graph.Op: split the gradient back into patches
+// at the boundaries the input shapes place.
+func (c *ConcatPatches) Backward(_ *tensor.Arena, gradOut *tensor.Tensor, _ []*tensor.Tensor, inShapes []tensor.Shape, _ *tensor.Tensor, _ any, gin []*tensor.Tensor) {
+	hStarts, wStarts := make([]int, c.NH), make([]int, c.NW)
+	for i, off := 0, 0; i < c.NH; i++ {
+		hStarts[i] = off
+		off += inShapes[i*c.NW].H()
 	}
-	return out
+	for j, off := 0, 0; j < c.NW; j++ {
+		wStarts[j] = off
+		off += inShapes[j].W()
+	}
+	for i, r := range tensor.SplitSpatial(gradOut, tensor.DimH, hStarts) {
+		copy(gin[i*c.NW:(i+1)*c.NW], tensor.SplitSpatial(r, tensor.DimW, wStarts))
+	}
 }
 
 // NeedsInput implements graph.Op.

@@ -87,7 +87,7 @@ func TestTunedDispatchOnSplitGraphShapes(t *testing.T) {
 				continue
 			}
 			autotune.Default.SetPlan(s.Key(), autotune.Decision{Algo: a})
-			got, _ := op.Forward([]*tensor.Tensor{x, w, b})
+			got, _ := op.Forward(nil, []*tensor.Tensor{x, w, b})
 			tol := 1e-5
 			if a == autotune.Im2col {
 				tol = 0 // the very same kernel: bit identity

@@ -71,10 +71,10 @@ func Timer(opt Options) hmms.Timer {
 		}
 		// Warm-up once (allocation paths, caches), then time Repeats
 		// executions and divide — §4.3 verbatim.
-		n.Op.Forward(ins)
+		n.Op.Forward(nil, ins)
 		start := time.Now()
 		for r := 0; r < opt.Repeats; r++ {
-			n.Op.Forward(ins)
+			n.Op.Forward(nil, ins)
 		}
 		fwd := time.Since(start).Seconds() / float64(opt.Repeats) * opt.Scale
 		factor := 1.0

@@ -212,6 +212,17 @@ type PredictRequest struct {
 	TimeoutMs int `json:"timeout_ms,omitempty"`
 }
 
+// Timeout returns the request's time budget under a server limit: its
+// TimeoutMs when that is positive and shorter than limit, else limit.
+// Comparing in milliseconds keeps a huge TimeoutMs from overflowing
+// into a negative duration.
+func (r PredictRequest) Timeout(limit time.Duration) time.Duration {
+	if r.TimeoutMs > 0 && int64(r.TimeoutMs) < limit.Milliseconds() {
+		return time.Duration(r.TimeoutMs) * time.Millisecond
+	}
+	return limit
+}
+
 // PredictResponse is the /v1/predict success body.
 type PredictResponse struct {
 	Model  string    `json:"model"`
@@ -299,13 +310,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			len(req.Image), inst.Name, inst.ImageLen(), inst.C, inst.H, inst.W))
 		return
 	}
-	timeout := s.opts.RequestTimeout
-	if req.TimeoutMs > 0 {
-		if t := time.Duration(req.TimeoutMs) * time.Millisecond; t < timeout {
-			timeout = t
-		}
-	}
-	deadline := start.Add(timeout)
+	deadline := start.Add(req.Timeout(s.opts.RequestTimeout))
 
 	// "admit" spans decode, validation and queue admission; the batcher
 	// records "queue"/"assemble"/"forward" on its dispatcher goroutine.

@@ -2,25 +2,14 @@ package tensor
 
 import "math"
 
-// MaxPool2D computes a max pooling over x with the given window
-// parameters. Padded positions are treated as -inf (they never win),
-// matching the convention of cuDNN and the major frameworks. It returns
-// the pooled tensor and the flat argmax index (into each input plane) of
-// every output element, which the backward pass consumes.
-func MaxPool2D(x *Tensor, p ConvParams) (*Tensor, []int32) {
-	out, arg := MaxPool2DArena(nil, x, p)
-	idx := make([]int32, arg.Elems())
-	for i, v := range arg.data {
-		idx[i] = int32(v)
-	}
-	return out, idx
-}
-
-// MaxPool2DArena is the arena-backed max pooling. The argmax indices
-// are returned as a float32 tensor (exact for plane sizes below 2^24,
-// far above any model here) so the executor can stash them without
-// boxing and recycle them like any other activation; -1 marks windows
-// that were entirely padding.
+// MaxPool2DArena computes a max pooling over x with the given window
+// parameters, drawing both results from the arena (nil = heap). Padded
+// positions are treated as -inf (they never win), matching the
+// convention of cuDNN and the major frameworks. The flat argmax index
+// (into each input plane) of every output element is returned as a
+// float32 tensor (exact for plane sizes below 2^24, far above any model
+// here) so the executor can stash it without boxing and recycle it like
+// any other activation; -1 marks windows that were entirely padding.
 func MaxPool2DArena(a *Arena, x *Tensor, p ConvParams) (out, arg *Tensor) {
 	n, c, _, _, oh, ow := p.check(x)
 	out = a.GetRaw(n, c, oh, ow)
@@ -96,29 +85,9 @@ func maxPoolPlanes(t maxPoolArgs, lo, hi int) {
 	}
 }
 
-// MaxPool2DBackward scatters gradOut back to the argmax positions
-// recorded by MaxPool2D.
-func MaxPool2DBackward(gradOut *Tensor, arg []int32, p ConvParams, n, c, h, w int) *Tensor {
-	oh, ow := p.OutSize(h, w)
-	gradIn := New(n, c, h, w)
-	gd, gid := gradOut.data, gradIn.data
-	parallelFor(n*c, func(lo, hi int) {
-		for nc := lo; nc < hi; nc++ {
-			src := gd[nc*oh*ow : (nc+1)*oh*ow]
-			asrc := arg[nc*oh*ow : (nc+1)*oh*ow]
-			dst := gid[nc*h*w : (nc+1)*h*w]
-			for i, g := range src {
-				if ai := asrc[i]; ai >= 0 {
-					dst[ai] += g
-				}
-			}
-		}
-	})
-	return gradIn
-}
-
 // MaxPool2DBackwardArena scatters gradOut back to the argmax positions
-// recorded by MaxPool2DArena.
+// recorded by MaxPool2DArena, into a zeroed gradient drawn from the
+// arena (nil = heap).
 func MaxPool2DBackwardArena(a *Arena, gradOut, arg *Tensor, p ConvParams, n, c, h, w int) *Tensor {
 	oh, ow := p.OutSize(h, w)
 	gradIn := a.Get(n, c, h, w) // zeroed: scatter target

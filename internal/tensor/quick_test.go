@@ -138,11 +138,11 @@ func TestQuickPoolGradientMassConservation(t *testing.T) {
 		x := New(2, 2, h, w)
 		x.RandNormal(rng, 1)
 		p := ConvParams{KH: k, KW: k, SH: k, SW: k}
-		_, arg := MaxPool2D(x, p)
+		_, arg := MaxPool2DArena(nil, x, p)
 		oh, ow := p.OutSize(h, w)
 		g := New(2, 2, oh, ow)
 		g.RandNormal(rng, 1)
-		gi := MaxPool2DBackward(g, arg, p, 2, 2, h, w)
+		gi := MaxPool2DBackwardArena(nil, g, arg, p, 2, 2, h, w)
 		diff := gi.Sum() - g.Sum()
 		return diff < 1e-3 && diff > -1e-3
 	}

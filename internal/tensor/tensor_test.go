@@ -376,7 +376,7 @@ func TestMaxPoolMatchesManual(t *testing.T) {
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
 	p := ConvParams{KH: 2, KW: 2, SH: 2, SW: 2}
-	y, arg := MaxPool2D(x, p)
+	y, arg := MaxPool2DArena(nil, x, p)
 	want := []float32{6, 8, 14, 16}
 	for i, w := range want {
 		if y.Data()[i] != w {
@@ -384,7 +384,7 @@ func TestMaxPoolMatchesManual(t *testing.T) {
 		}
 	}
 	g := FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	gi := MaxPool2DBackward(g, arg, p, 1, 1, 4, 4)
+	gi := MaxPool2DBackwardArena(nil, g, arg, p, 1, 1, 4, 4)
 	if gi.At(0, 0, 1, 1) != 1 || gi.At(0, 0, 1, 3) != 2 || gi.At(0, 0, 3, 1) != 3 || gi.At(0, 0, 3, 3) != 4 {
 		t.Fatalf("maxpool backward wrong: %v", gi.Data())
 	}
@@ -396,7 +396,7 @@ func TestMaxPoolMatchesManual(t *testing.T) {
 func TestMaxPoolPaddingIgnored(t *testing.T) {
 	x := FromSlice([]float32{-5, -6, -7, -8}, 1, 1, 2, 2)
 	p := ConvParams{KH: 3, KW: 3, SH: 2, SW: 2, Pad: Symmetric(1)}
-	y, _ := MaxPool2D(x, p)
+	y, _ := MaxPool2DArena(nil, x, p)
 	// With -inf padding the max of all-negative input stays negative.
 	if y.At(0, 0, 0, 0) != -5 {
 		t.Fatalf("padding leaked into max: %v", y.Data())

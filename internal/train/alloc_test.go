@@ -101,8 +101,10 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 }
 
 // TestArenaTrainingMatchesPlain pins the arena executor's numerics to
-// the plain one: identical graphs, parameters, and batches must produce
-// bit-identical losses and parameter values with and without an arena.
+// a nil-arena executor running the same kernels from the heap:
+// identical graphs, parameters, and batches must produce bit-identical
+// losses and parameter values, so recycled (uncleared) arena buffers
+// never leak into results.
 func TestArenaTrainingMatchesPlain(t *testing.T) {
 	const batch, steps = 4, 3
 	ds := tinyDataset(t)
